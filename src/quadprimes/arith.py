@@ -7,7 +7,6 @@ Key functions:
     von_mangoldt(n): structured prime-power weight (base, exponent, ln base)
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
-    sieve_spf(limit): dense smallest-prime-factor table
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
     next_prime_above(x): successor prime within the 64-bit range
 
@@ -25,8 +24,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CapacityError
-
 U64_MAX = 2**64 - 1
 
 # Largest prime below 2**64.  next_prime_above cannot pass it without leaving
@@ -38,7 +35,6 @@ LARGEST_U64_PRIME = 18446744073709551557
 # stays in the microsecond range.
 TRIAL_DIVISION_BOUND = 4096
 
-SPF_LIMIT_MAX = 10**8       # uint32 entries, ~400 MB at the cap
 _SEGMENT_SIZE = 1 << 20
 
 # Deterministic Miller-Rabin witness tiers.  Each row (bound, bases) is proven:
@@ -98,25 +94,6 @@ class VonMangoldtValue:
     base_prime: Optional[int]
     exponent: Optional[int]
     log_weight: float
-
-
-@dataclass(frozen=True)
-class SpfTable:
-    """Dense smallest-prime-factor table for 2..limit.
-
-    Attributes:
-        limit: largest index covered.
-        smallest_prime_factor: uint32 array of length limit + 1; entries 0 and
-            1 are 0, entry at a prime p is p itself.
-    """
-
-    limit: int
-    smallest_prime_factor: np.ndarray
-
-    def spf(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 2..{self.limit}")
-        return int(self.smallest_prime_factor[n])
 
 
 # --------------------------------------------------------------------------- #
@@ -298,8 +275,9 @@ def prime_power_base(n: int) -> Optional[tuple[int, int]]:
         return None
     if is_prime(n):
         return (n, 1)
-    # A proper prime power is a perfect e-th power for some prime e.
-    for e in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+    # A proper prime power is a perfect e-th power for some prime e; below
+    # 2**64 that e is at most 61.
+    for e in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         if 1 << e > n:
             break
         r = integer_root(n, e)
@@ -446,25 +424,3 @@ def iter_primes(limit: int) -> Iterator[int]:
         for offset in np.nonzero(seg)[0]:
             yield start + int(offset)
         start = stop
-
-
-def sieve_spf(limit: int) -> SpfTable:
-    """Smallest-prime-factor table for 2..limit.
-
-    Raises:
-        CapacityError: if limit exceeds the memory cap.
-    """
-    if limit < 2:
-        raise ValueError("sieve_spf requires limit >= 2")
-    if limit > SPF_LIMIT_MAX:
-        raise CapacityError(f"spf limit {limit} exceeds cap {SPF_LIMIT_MAX}")
-    arr = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if arr[p] == 0:
-            arr[p] = p
-            sl = arr[p * p:: p]
-            sl[sl == 0] = p
-    remaining = np.nonzero(arr[2:] == 0)[0] + 2
-    arr[remaining] = remaining
-    arr.setflags(write=False)
-    return SpfTable(limit, arr)

@@ -18,15 +18,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import arith, ramanujan
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
-from .indicator import nearest_even_parity_x
+from .indicator import _require_even_parity
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
 ERROR_TERM_X_CAP = 10**4
+# Terms per block of the float route, so no block grows with N.
+_FLOAT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,6 @@ def _require_admissible(spec: PolynomialSpec) -> None:
     raise ValueError(f"(q={spec.q}, a={spec.a}) is not admissible: " + "; ".join(reasons))
 
 
-def _require_even_context(ctx: ramanujan.ModulusContext) -> None:
-    if ctx.floor_sqrt_parity != "even":
-        raise ValueError(
-            f"floor(sqrt(x)) is odd for x={ctx.x}; "
-            f"nearest valid x is {nearest_even_parity_x(ctx.x)}"
-        )
-
-
 def _guard_range(spec: PolynomialSpec, x: int) -> None:
     # Both sides evaluate Lambda at arguments bounded by q*x + a.
     if spec.q * x + spec.a > arith.U64_MAX:
@@ -156,14 +152,37 @@ def lhs_quadratic_psi(
     return value, records
 
 
-def _c_N(cache: dict[int, int], N: int, shift: int) -> int:
-    # Shifts repeat heavily across n; a per-call cache keeps the exact path
-    # cheap without module-level state.
-    value = cache.get(shift)
-    if value is None:
-        value = ramanujan.ramanujan_closed(N, shift).value
-        cache[shift] = value
-    return value
+def _checked_phi(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> int:
+    # Every expansion needs an admissible f, an even floor(sqrt(x)) and
+    # 64-bit arguments, checked in that order; phi(N) is its denominator.
+    _require_admissible(spec)
+    _require_even_parity(ctx)
+    _guard_range(spec, ctx.x)
+    return arith.euler_phi(ctx.N)
+
+
+def _shift_coefficients(
+    spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]
+) -> Iterator[tuple[int, float, int]]:
+    # (n, Lambda(q n + a), sum of w * c_N(t - n) over points) for each odd
+    # n <= x with nonzero weight; one c_N cache serves every n.
+    cache: dict[int, int] = {}
+    for n in range(1, ctx.x + 1, 2):
+        lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
+        if lw != 0.0:
+            yield n, lw, ramanujan.shift_sum(ctx.N, n, points, cache)
+
+
+def _exact_partials(values: list[float]) -> list[float]:
+    # A few floats with the exact sum of values.  math.fsum rounds an exact
+    # sum correctly (Shewchuk 1997), so each step keeps the rounded remainder
+    # until none is left, and math.fsum of the result is math.fsum(values).
+    parts: list[float] = []
+    while True:
+        r = math.fsum(values + [-p for p in parts])
+        if r == 0.0:
+            return parts
+        parts.append(r)
 
 
 def rhs_linear_expansion(
@@ -176,17 +195,13 @@ def rhs_linear_expansion(
     Exact path: for each odd n <= x the inner double sum over s and u
     collapses to the integer phi(N) * [s^2 = n] + c_N(s^2 - n), so the term
     is Lambda(q n + a) times an exact rational coefficient.  Float path:
-    direct complex-exponential summation in fixed order (ascending n, s, u),
+    direct complex-exponential summation, every term added exactly,
     refused via CapacityError when the triple-sum size exceeds
     FLOAT_WORK_CAP.  float_path may be True, False, or "auto" (run it only
     when within cap).
     """
-    _require_admissible(spec)
-    _require_even_context(ctx)
-    _guard_range(spec, ctx.x)
-    phi_n = arith.euler_phi(ctx.N)
+    phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
-    cache: dict[int, int] = {}
 
     work = ((ctx.x + 1) // 2) * R * phi_n
     if float_path == "auto":
@@ -195,17 +210,10 @@ def rhs_linear_expansion(
         raise CapacityError(f"float path needs {work} evaluations, cap is {FLOAT_WORK_CAP}")
 
     weights: list[tuple[int, float]] = []
-    for n in range(1, ctx.x + 1, 2):
-        weights.append((n, arith.von_mangoldt(spec.q * n + spec.a).log_weight))
-
     exact_terms: list[float] = []
-    for n, lw in weights:
-        if lw == 0.0:
-            continue
-        coeff = 0
-        for s in range(1, R + 1):
-            shift = s * s - n
-            coeff += phi_n if shift == 0 else _c_N(cache, ctx.N, shift)
+    squares = [(1, s * s) for s in range(1, R + 1)]
+    for n, lw, coeff in _shift_coefficients(spec, ctx, squares):
+        weights.append((n, lw))
         if coeff:
             exact_terms.append(float(Fraction(coeff, phi_n)) * lw)
     rhs_exact = math.fsum(exact_terms)
@@ -214,19 +222,23 @@ def rhs_linear_expansion(
         return rhs_exact, None
 
     # Independent route on purpose: local tables, no shared Ramanujan code.
-    roots = [cmath.exp(2j * math.pi * k / ctx.N) for k in range(ctx.N)]
-    coprime = [u for u in range(1, ctx.N) if math.gcd(u, ctx.N) == 1]
+    # Each block of terms folds into exact partials, so memory stays bounded
+    # while the final fsum is that of every term.  The work cap keeps
+    # N < 5e8, so shift * u stays far below 2**63.
+    N = ctx.N
+    roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
+    units = np.arange(1, N, dtype=np.int64)
+    coprime = units[np.gcd(units, N) == 1]
+    squares_arr = np.arange(1, R + 1, dtype=np.int64) ** 2
+    step = max(1, _FLOAT_BLOCK // R)
     real_parts: list[float] = []
     imag_parts: list[float] = []
     for n, lw in weights:
-        if lw == 0.0:
-            continue
-        for s in range(1, R + 1):
-            shift = (s * s - n) % ctx.N
-            for u in coprime:
-                z = roots[(shift * u) % ctx.N]
-                real_parts.append(lw * z.real)
-                imag_parts.append(lw * z.imag)
+        shifts = ((squares_arr - n) % N)[:, None]
+        for start in range(0, coprime.size, step):
+            index = shifts * coprime[start:start + step] % N
+            real_parts = _exact_partials((lw * roots.real[index]).ravel().tolist() + real_parts)
+            imag_parts = _exact_partials((lw * roots.imag[index]).ravel().tolist() + imag_parts)
     imag_total = math.fsum(imag_parts) / phi_n
     if abs(imag_total) >= 1e-6:
         raise PrecisionError(f"imaginary residue {imag_total} in float path")
@@ -245,32 +257,21 @@ def main_term_decomposition(
     nonzero M1 raises LemmaCounterexample, under strict=False the measured
     value is returned.
     """
-    _require_admissible(spec)
-    _require_even_context(ctx)
-    _guard_range(spec, ctx.x)
-    phi_n = arith.euler_phi(ctx.N)
+    phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
-    cache: dict[int, int] = {}
 
     m0_terms: list[float] = []
     m1_terms: list[float] = []
-    exactly_zero = True
-    for n in range(1, ctx.x + 1, 2):
-        lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
+    window = [(1, s) for s in range(1, R + 1)]
+    for n, lw, full in _shift_coefficients(spec, ctx, window):
         if n <= R:
             m0_terms.append(lw)
-        if lw == 0.0:
-            continue
-        coeff = 0
-        for s in range(1, R + 1):
-            if s != n:
-                coeff += _c_N(cache, ctx.N, s - n)
-        if coeff:
-            exactly_zero = False
-            m1_terms.append(coeff * lw)
+            full -= phi_n
+        if full:
+            m1_terms.append(full * lw)
     M0 = math.fsum(m0_terms)
     M1 = math.fsum(m1_terms) / phi_n
-    if strict and not exactly_zero:
+    if strict and m1_terms:
         raise LemmaCounterexample(
             "main-term-vanishing",
             {"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p},
@@ -299,14 +300,10 @@ def error_term_decomposition(
     diagonal, E1 the rest via exact c_N values.  Capped at x <=
     ERROR_TERM_X_CAP because the pair-by-shift loop is quadratic in x.
     """
-    _require_admissible(spec)
-    _require_even_context(ctx)
-    _guard_range(spec, ctx.x)
+    phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term decomposition capped at x = {ERROR_TERM_X_CAP}")
-    phi_n = arith.euler_phi(ctx.N)
     pairs = dyadic_pairs(ctx.floor_sqrt_x)
-    cache: dict[int, int] = {}
 
     e0_terms = [
         arith.liouville(d) * arith.von_mangoldt(spec.q * dm + spec.a).log_weight
@@ -316,15 +313,12 @@ def error_term_decomposition(
     E0 = math.fsum(e0_terms)
 
     signed = [(arith.liouville(d), dm) for d, _, dm in pairs]
+    diagonal: dict[int, int] = {}
+    for lam, dm in signed:
+        diagonal[dm] = diagonal.get(dm, 0) + lam
     e1_terms: list[float] = []
-    for n in range(1, ctx.x + 1, 2):
-        lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
-        if lw == 0.0:
-            continue
-        coeff = 0
-        for lam, dm in signed:
-            if dm != n:
-                coeff += lam * _c_N(cache, ctx.N, dm - n)
+    for n, lw, full in _shift_coefficients(spec, ctx, signed):
+        coeff = full - phi_n * diagonal.get(n, 0)
         if coeff:
             e1_terms.append(coeff * lw)
     E1 = math.fsum(e1_terms) / phi_n
@@ -338,31 +332,17 @@ def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> flo
     computed literally.  Reconciling this against E0 + E1 checks the
     reindexing step on its own.
     """
-    _require_admissible(spec)
-    _require_even_context(ctx)
-    _guard_range(spec, ctx.x)
+    phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term total capped at x = {ERROR_TERM_X_CAP}")
-    phi_n = arith.euler_phi(ctx.N)
-    R = ctx.floor_sqrt_x
-    cache: dict[int, int] = {}
     # w(s) = sum of liouville(d) over divisors d of s with d > 1.
-    w = [0] * (R + 1)
-    for s in range(1, R + 1):
-        w[s] = sum(arith.liouville(d) for d in range(2, s + 1) if s % d == 0)
+    weighted = []
+    for s in range(1, ctx.floor_sqrt_x + 1):
+        w = sum(arith.liouville(d) for d in range(2, s + 1) if s % d == 0)
+        if w:
+            weighted.append((w, s))
 
-    terms: list[float] = []
-    for n in range(1, ctx.x + 1, 2):
-        lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
-        if lw == 0.0:
-            continue
-        coeff = 0
-        for s in range(1, R + 1):
-            if w[s] == 0:
-                continue
-            coeff += w[s] * (phi_n if s == n else _c_N(cache, ctx.N, s - n))
-        if coeff:
-            terms.append(coeff * lw)
+    terms = [coeff * lw for _, lw, coeff in _shift_coefficients(spec, ctx, weighted) if coeff]
     return math.fsum(terms) / phi_n
 
 

@@ -34,37 +34,11 @@ class SquareVerdict:
     method: str
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root by integer Newton iteration.
-
-    A float seed starts the iteration; the final exact correction loop
-    guards against misrounding near 2**53 and beyond.
-    """
-    if n < 0:
-        raise ValueError("isqrt requires n >= 0")
-    if n == 0:
-        return 0
-    try:
-        r = max(1, int(math.sqrt(n)))
-    except OverflowError:
-        r = 1 << ((n.bit_length() + 1) // 2)
-    while True:
-        nxt = (r + n // r) // 2
-        if nxt >= r:
-            break
-        r = nxt
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
 def nearest_even_parity_x(x: int) -> int:
     """Largest x' <= x whose floor square root is even."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    r = isqrt(x)
+    r = math.isqrt(x)
     return x if r % 2 == 0 else r * r - 1
 
 
@@ -85,15 +59,8 @@ def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     _require_even_parity(ctx)
     if n % 2 == 0 or not 1 <= n <= ctx.x:
         raise ValueError(f"n={n} must be odd and within 1..{ctx.x}")
-    phi_n = arith.euler_phi(ctx.N)
-    numerator = 0
-    for s in range(1, ctx.floor_sqrt_x + 1):
-        shift = s * s - n
-        if shift == 0:
-            numerator += phi_n
-        else:
-            numerator += ramanujan.ramanujan_closed(ctx.N, shift).value
-    return Fraction(numerator, phi_n)
+    squares = [(1, s * s) for s in range(1, ctx.floor_sqrt_x + 1)]
+    return Fraction(ramanujan.shift_sum(ctx.N, n, squares, {}), arith.euler_phi(ctx.N))
 
 
 def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
@@ -107,7 +74,7 @@ def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
     if value == 0:
         return SquareVerdict(n, False, None, "exp_sum")
     if value == 1:
-        return SquareVerdict(n, True, isqrt(n), "exp_sum")
+        return SquareVerdict(n, True, math.isqrt(n), "exp_sum")
     raise LemmaCounterexample(
         "square-indicator-value",
         {"x": ctx.x, "p": ctx.p, "n": n},
@@ -121,7 +88,7 @@ def liouville_divisor_sum(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
-    for d in range(1, isqrt(n) + 1):
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
             total += arith.liouville(d)
             other = n // d
@@ -140,7 +107,7 @@ def square_char_liouville(n: int) -> SquareVerdict:
     if n < 1:
         raise ValueError("n must be >= 1")
     if all(e % 2 == 0 for _, e in arith.factorize(n).factors):
-        return SquareVerdict(n, True, isqrt(n), "liouville")
+        return SquareVerdict(n, True, math.isqrt(n), "liouville")
     return SquareVerdict(n, False, None, "liouville")
 
 
@@ -148,7 +115,7 @@ def square_char_isqrt(n: int) -> SquareVerdict:
     """Square indicator via the integer square root (ground truth)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = isqrt(n)
+    r = math.isqrt(n)
     if r * r == n:
         return SquareVerdict(n, True, r, "isqrt")
     return SquareVerdict(n, False, None, "isqrt")

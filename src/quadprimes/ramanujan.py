@@ -7,6 +7,9 @@ routes are exposed so each can cross-check the others:
     ramanujan_closed: mu(q/d) * phi(q) / phi(q/d) with d = gcd(|m|, q)
     ramanujan_divisor: sum of mu(q/d) * d over d | gcd(|m|, q)
 
+shift_sum adds weighted closed-form values c_N(t - n) exactly; the square
+indicator and every exact identity path are that one sum.
+
 For a modulus N = 2p with p prime and p > x, c_N(m) with 0 < |m| < p only
 depends on the parity of m.  parity_value checks the sign prediction (-1)**s
 for m = s - n or s*s - n; parity_sum accumulates those values over s and
@@ -19,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Iterable, Literal
 
 from . import arith
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
@@ -130,6 +133,23 @@ def ramanujan_closed(q: int, m: int) -> RamanujanEvaluation:
     if remainder:
         raise ArithmeticError(f"phi({q}) not divisible by phi({qd})")
     return RamanujanEvaluation(q, m, mu * quotient, "closed")
+
+
+def shift_sum(N: int, n: int, points: Iterable[tuple[int, int]], cache: dict[int, int]) -> int:
+    """Exact sum of w * c_N(t - n) over the (w, t) in points.
+
+    Every c_N value comes from ramanujan_closed, memoised in cache by shift;
+    the caller owns the cache and may share it across n for one N.  The
+    diagonal t = n needs no special case, since c_N(0) = phi(N).
+    """
+    total = 0
+    for w, t in points:
+        shift = t - n
+        value = cache.get(shift)
+        if value is None:
+            value = cache[shift] = ramanujan_closed(N, shift).value
+        total += w * value
+    return total
 
 
 def _divisors_ascending(n: int) -> list[int]:

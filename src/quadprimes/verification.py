@@ -7,7 +7,7 @@ exhaustive inventory, which the CLI then turns into an exit code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import arith, asymptotics, identity, indicator, ramanujan
 from .errors import LemmaCounterexample
@@ -38,91 +38,97 @@ class VerificationReport:
         return self.cases_passed == self.cases_run
 
 
-def _from_exception(exc: LemmaCounterexample) -> Counterexample:
+def _tally(suite: str, outcomes: Iterable[Optional[Counterexample]]) -> VerificationReport:
+    """One case per outcome; the outcomes that are not None are the rows, in order."""
+    run = 0
+    rows: list[Counterexample] = []
+    for outcome in outcomes:
+        run += 1
+        if outcome is not None:
+            rows.append(outcome)
+    return VerificationReport(suite, run, run - len(rows), tuple(rows))
+
+
+def _row(exc: LemmaCounterexample) -> Counterexample:
     return Counterexample(inputs=dict(exc.inputs), expected=exc.expected, actual=exc.actual)
+
+
+def _caught(check: Callable[..., object], *args: Any) -> Optional[Counterexample]:
+    """Run a strict check: None when it passes, its counterexample as a row when not."""
+    try:
+        check(*args)
+    except LemmaCounterexample as exc:
+        return _row(exc)
+    return None
 
 
 def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     """Three-way agreement of the direct, closed-form, and divisor sums."""
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
-    run = 0
-    rows: list[Counterexample] = []
-    for q in range(1, q_max + 1):
-        for m in range(-m_max, m_max + 1):
-            run += 1
-            closed = ramanujan.ramanujan_closed(q, m).value
-            divisor = ramanujan.ramanujan_divisor(q, m).value
-            direct = ramanujan.ramanujan_direct(q, m).value
-            if not (closed == divisor == direct):
-                rows.append(
-                    Counterexample(
-                        inputs={"q": q, "m": m},
-                        expected="direct = closed = divisor",
-                        actual={"direct": direct, "closed": closed, "divisor": divisor},
-                    )
+
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for q in range(1, q_max + 1):
+            for m in range(-m_max, m_max + 1):
+                closed = ramanujan.ramanujan_closed(q, m).value
+                divisor = ramanujan.ramanujan_divisor(q, m).value
+                direct = ramanujan.ramanujan_direct(q, m).value
+                yield None if closed == divisor == direct else Counterexample(
+                    inputs={"q": q, "m": m},
+                    expected="direct = closed = divisor",
+                    actual={"direct": direct, "closed": closed, "divisor": divisor},
                 )
-    return VerificationReport("ramanujan", run, run - len(rows), tuple(rows))
+
+    return _tally("ramanujan", outcomes())
 
 
 def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
     """Parity sign and sum-value checks for both shift modes at every odd n."""
     ctx = identity.make_context(x, regime, c)
-    run = 0
-    rows: list[Counterexample] = []
-    for mode in ("linear", "quadratic"):
-        for n in range(1, x + 1, 2):
-            run += 1
-            try:
-                ramanujan.parity_sum(ctx, n, mode, strict=True)
-            except LemmaCounterexample as exc:
-                rows.append(_from_exception(exc))
-    return VerificationReport("parity", run, run - len(rows), tuple(rows))
+    return _tally("parity", (
+        _caught(ramanujan.parity_sum, ctx, n, mode)
+        for mode in ("linear", "quadratic")
+        for n in range(1, x + 1, 2)
+    ))
 
 
 def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
     """Exponential-sum square indicator against the integer-root oracle."""
     ctx = identity.make_context(x, regime, c)
-    run = 0
-    rows: list[Counterexample] = []
-    for n in range(1, x + 1, 2):
-        run += 1
-        reference = indicator.square_char_isqrt(n)
-        try:
-            verdict = indicator.square_char_exp(ctx, n)
-        except LemmaCounterexample as exc:
-            rows.append(_from_exception(exc))
-            continue
-        if verdict.is_square != reference.is_square:
-            rows.append(
-                Counterexample(
-                    inputs={"x": x, "p": ctx.p, "n": n},
-                    expected=reference.is_square,
-                    actual=verdict.is_square,
-                )
+
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for n in range(1, x + 1, 2):
+            reference = indicator.square_char_isqrt(n)
+            try:
+                verdict = indicator.square_char_exp(ctx, n)
+            except LemmaCounterexample as exc:
+                yield _row(exc)
+                continue
+            yield None if verdict.is_square == reference.is_square else Counterexample(
+                inputs={"x": x, "p": ctx.p, "n": n},
+                expected=reference.is_square,
+                actual=verdict.is_square,
             )
-    return VerificationReport("char", run, run - len(rows), tuple(rows))
+
+    return _tally("char", outcomes())
 
 
 def verify_liouville(limit: int = 10**5) -> VerificationReport:
     """Factorization-parity square indicator against the integer-root oracle."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    run = 0
-    rows: list[Counterexample] = []
-    for n in range(1, limit + 1):
-        run += 1
-        reference = indicator.square_char_isqrt(n)
-        verdict = indicator.square_char_liouville(n)
-        if verdict.is_square != reference.is_square:
-            rows.append(
-                Counterexample(
-                    inputs={"n": n},
-                    expected=reference.is_square,
-                    actual=verdict.is_square,
-                )
+
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for n in range(1, limit + 1):
+            reference = indicator.square_char_isqrt(n)
+            verdict = indicator.square_char_liouville(n)
+            yield None if verdict.is_square == reference.is_square else Counterexample(
+                inputs={"n": n},
+                expected=reference.is_square,
+                actual=verdict.is_square,
             )
-    return VerificationReport("liouville", run, run - len(rows), tuple(rows))
+
+    return _tally("liouville", outcomes())
 
 
 def _identity_grid(
@@ -132,10 +138,14 @@ def _identity_grid(
 ) -> list[tuple[identity.PolynomialSpec, ramanujan.ModulusContext]]:
     if configs is None:
         configs = [(q, a, x) for q, a in IDENTITY_PAIRS for x in IDENTITY_X_VALUES]
-    grid = []
-    for q, a, x in configs:
-        grid.append((identity.check_admissible(q, a), identity.make_context(x, regime, c)))
-    return grid
+    return [(identity.check_admissible(q, a), identity.make_context(x, regime, c))
+            for q, a, x in configs]
+
+
+def _grid_check(failed: bool, spec: identity.PolynomialSpec, ctx: ramanujan.ModulusContext,
+                check: str, expected: Any, actual: Any) -> Optional[Counterexample]:
+    inputs = {"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p, "check": check}
+    return Counterexample(inputs, expected, actual) if failed else None
 
 
 def verify_identity(
@@ -144,34 +154,19 @@ def verify_identity(
     c: float = 1.0,
 ) -> VerificationReport:
     """Exact-path equality with the quadratic sum, plus float-path agreement."""
-    run = 0
-    rows: list[Counterexample] = []
-    for spec, ctx in _identity_grid(configs, regime, c):
-        lhs, _ = identity.lhs_quadratic_psi(spec, ctx.x)
-        rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path="auto")
-        run += 1
-        rel = abs(rhs_exact - lhs) / abs(lhs) if lhs else abs(rhs_exact)
-        if rel > 1e-9:
-            rows.append(
-                Counterexample(
-                    inputs={"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p,
-                            "check": "rhs-exact-equals-lhs"},
-                    expected=lhs,
-                    actual=rhs_exact,
-                )
-            )
-        if rhs_float is not None:
-            run += 1
-            if abs(rhs_float - rhs_exact) >= 1e-6:
-                rows.append(
-                    Counterexample(
-                        inputs={"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p,
-                                "check": "float-matches-exact"},
-                        expected=rhs_exact,
-                        actual=rhs_float,
-                    )
-                )
-    return VerificationReport("identity", run, run - len(rows), tuple(rows))
+    grid = _identity_grid(configs, regime, c)
+
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for spec, ctx in grid:
+            lhs, _ = identity.lhs_quadratic_psi(spec, ctx.x)
+            rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path="auto")
+            rel = abs(rhs_exact - lhs) / abs(lhs) if lhs else abs(rhs_exact)
+            yield _grid_check(rel > 1e-9, spec, ctx, "rhs-exact-equals-lhs", lhs, rhs_exact)
+            if rhs_float is not None:
+                yield _grid_check(abs(rhs_float - rhs_exact) >= 1e-6, spec, ctx,
+                                  "float-matches-exact", rhs_exact, rhs_float)
+
+    return _tally("identity", outcomes())
 
 
 def verify_main_term(
@@ -180,15 +175,10 @@ def verify_main_term(
     c: float = 1.0,
 ) -> VerificationReport:
     """M1 = 0 on the exact integer path for every grid configuration."""
-    run = 0
-    rows: list[Counterexample] = []
-    for spec, ctx in _identity_grid(configs, regime, c):
-        run += 1
-        try:
-            identity.main_term_decomposition(spec, ctx, strict=True)
-        except LemmaCounterexample as exc:
-            rows.append(_from_exception(exc))
-    return VerificationReport("main-term", run, run - len(rows), tuple(rows))
+    return _tally("main-term", (
+        _caught(identity.main_term_decomposition, spec, ctx)
+        for spec, ctx in _identity_grid(configs, regime, c)
+    ))
 
 
 def verify_error_term(
@@ -197,35 +187,20 @@ def verify_error_term(
     c: float = 1.0,
 ) -> VerificationReport:
     """Reconciliation and trivial-bound checks for the error decomposition."""
-    run = 0
-    rows: list[Counterexample] = []
-    for spec, ctx in _identity_grid(configs, regime, c):
-        E0, E1 = identity.error_term_decomposition(spec, ctx)
-        total = identity.error_term_total(spec, ctx)
+    grid = _identity_grid(configs, regime, c)
 
-        run += 1
-        if abs((E0 + E1) - total) > 1e-9:
-            rows.append(
-                Counterexample(
-                    inputs={"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p,
-                            "check": "split-reconciliation"},
-                    expected=total,
-                    actual=E0 + E1,
-                )
-            )
+    def outcomes() -> Iterator[Optional[Counterexample]]:
+        for spec, ctx in grid:
+            E0, E1 = identity.error_term_decomposition(spec, ctx)
+            total = identity.error_term_total(spec, ctx)
+            yield _grid_check(abs((E0 + E1) - total) > 1e-9, spec, ctx,
+                              "split-reconciliation", total, E0 + E1)
 
-        run += 1
-        phi_n = arith.euler_phi(ctx.N)
-        pair_count = len(identity.dyadic_pairs(ctx.floor_sqrt_x))
-        lambda_total, _ = asymptotics.linear_psi_odd(spec, ctx.x)
-        bound = pair_count * lambda_total / phi_n
-        if abs(E1) > bound + 1e-12:
-            rows.append(
-                Counterexample(
-                    inputs={"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p,
-                            "check": "trivial-bound"},
-                    expected=f"|E1| <= {bound}",
-                    actual=abs(E1),
-                )
-            )
-    return VerificationReport("error-term", run, run - len(rows), tuple(rows))
+            phi_n = arith.euler_phi(ctx.N)
+            pair_count = len(identity.dyadic_pairs(ctx.floor_sqrt_x))
+            lambda_total, _ = asymptotics.linear_psi_odd(spec, ctx.x)
+            bound = pair_count * lambda_total / phi_n
+            yield _grid_check(abs(E1) > bound + 1e-12, spec, ctx,
+                              "trivial-bound", f"|E1| <= {bound}", abs(E1))
+
+    return _tally("error-term", outcomes())

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from quadprimes import arith
-from quadprimes.errors import CapacityError
 
 
 def _is_prime_slow(n: int) -> bool:
@@ -117,6 +116,12 @@ def test_prime_power_base():
     assert arith.prime_power_base(5**27) == (5, 27)
 
 
+def test_prime_power_base_agrees_with_von_mangoldt_at_64_bit_edges():
+    for n in (2**61, 2**62, 2**63, 3**40, 2**61 - 1):
+        vm = arith.von_mangoldt(n)
+        assert arith.prime_power_base(n) == (vm.base_prime, vm.exponent), n
+
+
 def test_prime_power_base_agrees_with_factorization_sweep():
     for n in range(2, 3000):
         fac = dict(arith.factorize(n).factors)
@@ -206,13 +211,3 @@ def test_primes_up_to_matches_trial_division():
 def test_iter_primes_matches_list_sieve():
     assert list(arith.iter_primes(7)) == [2, 3, 5, 7]
     assert list(arith.iter_primes(10**5)) == arith.primes_up_to(10**5)
-
-
-def test_sieve_spf():
-    table = arith.sieve_spf(1000)
-    for n in range(2, 1001):
-        assert table.spf(n) == min(_factor_slow(n)), n
-    with pytest.raises(CapacityError):
-        arith.sieve_spf(arith.SPF_LIMIT_MAX + 1)
-    with pytest.raises(ValueError):
-        table.spf(1001)

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quadprimes import identity
+from quadprimes import arith, identity, indicator, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample
 
 
@@ -105,6 +108,47 @@ def test_rhs_float_path_capacity():
         identity.rhs_linear_expansion(spec, ctx, float_path=True)
     rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path="auto")
     assert rhs_float is None and rhs_exact > 0
+
+
+def test_rhs_float_path_memory_is_bounded():
+    # x = 256 sums about 1M real and imaginary terms; the float route keeps
+    # exact partials of each block instead of every term.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(256)
+    tracemalloc.start()
+    try:
+        _, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rhs_float is not None
+    assert peak < 2 * 2**20, peak
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+@given(st.lists(st.lists(_finite, max_size=40), max_size=8))
+def test_exact_partials_keep_fsum_bitwise(blocks):
+    parts: list[float] = []
+    for block in blocks:
+        parts = identity._exact_partials(block + parts)
+    everything = [v for block in blocks for v in block]
+    assert math.fsum(parts).hex() == math.fsum(everything).hex()
+
+
+def test_rhs_exact_matches_square_indicator_route_on_default_grid():
+    for q, a in verification.IDENTITY_PAIRS:
+        spec = identity.check_admissible(q, a)
+        for x in verification.IDENTITY_X_VALUES:
+            ctx = identity.make_context(x)
+            expected = math.fsum(
+                arith.von_mangoldt(q * n + a).log_weight
+                * float(indicator.square_char_exp_value(ctx, n))
+                for n in range(1, x + 1, 2)
+            )
+            rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx, float_path=False)
+            assert rhs_exact == expected, (q, a, x)
 
 
 def test_rhs_rejects_odd_floor_context():

@@ -11,25 +11,6 @@ from quadprimes.errors import LemmaCounterexample
 from quadprimes.identity import make_context
 
 
-def test_isqrt_matches_math_isqrt():
-    for n in range(0, 5000):
-        assert indicator.isqrt(n) == math.isqrt(n), n
-    for n in (2**53 - 1, 2**53, 2**53 + 1, (2**26 + 1) ** 2, (2**26 + 1) ** 2 - 1):
-        assert indicator.isqrt(n) == math.isqrt(n), n
-
-
-def test_isqrt_large_inputs():
-    root = 10**20 + 3
-    assert indicator.isqrt(root * root) == root
-    assert indicator.isqrt(root * root - 1) == root - 1
-    assert indicator.isqrt(10**400 + 7) == math.isqrt(10**400 + 7)
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        indicator.isqrt(-1)
-
-
 def test_nearest_even_parity_x():
     assert indicator.nearest_even_parity_x(16) == 16
     assert indicator.nearest_even_parity_x(9) == 8
