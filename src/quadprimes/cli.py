@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -39,7 +40,9 @@ def render_json(payload: Any) -> str:
 
     Floats are swapped for NUL-delimited tokens before encoding and the
     tokens replaced by bare numerals afterwards; NUL cannot occur in real
-    payload strings, so the substitution is unambiguous.
+    payload strings, so the substitution is unambiguous.  JSON has no
+    numeral for nan or inf, so those become the strings "nan", "inf" and
+    "-inf", as the human output prints them.
     """
     tokens: dict[str, str] = {}
 
@@ -47,6 +50,8 @@ def render_json(payload: Any) -> str:
         if isinstance(obj, bool):
             return obj
         if isinstance(obj, float):
+            if not math.isfinite(obj):
+                return format(obj, FLOAT_FORMAT)
             token = f"\x00float{len(tokens)}\x00"
             tokens[token] = format(obj, FLOAT_FORMAT)
             return token
@@ -379,7 +384,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OverflowError, CapacityError) as exc:
+    except (ValueError, ArithmeticError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LemmaCounterexample, PrecisionError) as exc:

@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -28,6 +29,8 @@ from .indicator import _require_even_parity
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
+# Entries per float-route table, about 33 MB at 33 bytes each.
+FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
 # Terms per block of the float route, so no block grows with N.
 _FLOAT_BLOCK = 1 << 16
@@ -173,41 +176,20 @@ def _shift_coefficients(
             yield n, lw, ramanujan.shift_sum(ctx.N, n, points, cache)
 
 
-def _exact_partials(values: list[float]) -> list[float]:
-    # A few floats with the exact sum of values.  math.fsum rounds an exact
-    # sum correctly (Shewchuk 1997), so each step keeps the rounded remainder
-    # until none is left, and math.fsum of the result is math.fsum(values).
-    parts: list[float] = []
-    while True:
-        r = math.fsum(values + [-p for p in parts])
-        if r == 0.0:
-            return parts
-        parts.append(r)
-
-
 def rhs_linear_expansion(
-    spec: PolynomialSpec,
-    ctx: ramanujan.ModulusContext,
-    float_path: bool | str = "auto",
+    spec: PolynomialSpec, ctx: ramanujan.ModulusContext
 ) -> tuple[float, Optional[float]]:
     """Linear-argument expansion of the quadratic sum, exact and float paths.
 
     Exact path: for each odd n <= x the inner double sum over s and u
     collapses to the integer phi(N) * [s^2 = n] + c_N(s^2 - n), so the term
     is Lambda(q n + a) times an exact rational coefficient.  Float path:
-    direct complex-exponential summation, every term added exactly,
-    refused via CapacityError when the triple-sum size exceeds
-    FLOAT_WORK_CAP.  float_path may be True, False, or "auto" (run it only
-    when within cap).
+    direct complex-exponential summation, each part one math.fsum over
+    every term; it runs only when the triple-sum size is within
+    FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None otherwise.
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
-
-    work = ((ctx.x + 1) // 2) * R * phi_n
-    if float_path == "auto":
-        float_path = work <= FLOAT_WORK_CAP
-    elif float_path and work > FLOAT_WORK_CAP:
-        raise CapacityError(f"float path needs {work} evaluations, cap is {FLOAT_WORK_CAP}")
 
     weights: list[tuple[int, float]] = []
     exact_terms: list[float] = []
@@ -218,31 +200,31 @@ def rhs_linear_expansion(
             exact_terms.append(float(Fraction(coeff, phi_n)) * lw)
     rhs_exact = math.fsum(exact_terms)
 
-    if not float_path:
+    work = ((ctx.x + 1) // 2) * R * phi_n
+    if work > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
         return rhs_exact, None
 
     # Independent route on purpose: local tables, no shared Ramanujan code.
-    # Each block of terms folds into exact partials, so memory stays bounded
-    # while the final fsum is that of every term.  The work cap keeps
-    # N < 5e8, so shift * u stays far below 2**63.
+    # math.fsum reads the blocks of terms as one stream, so memory stays
+    # bounded while each part is the correctly rounded sum of every term.
+    # The table cap keeps N <= 1e6, so shift * u stays far below 2**63.
     N = ctx.N
     roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
     units = np.arange(1, N, dtype=np.int64)
     coprime = units[np.gcd(units, N) == 1]
     squares_arr = np.arange(1, R + 1, dtype=np.int64) ** 2
     step = max(1, _FLOAT_BLOCK // R)
-    real_parts: list[float] = []
-    imag_parts: list[float] = []
-    for n, lw in weights:
-        shifts = ((squares_arr - n) % N)[:, None]
-        for start in range(0, coprime.size, step):
-            index = shifts * coprime[start:start + step] % N
-            real_parts = _exact_partials((lw * roots.real[index]).ravel().tolist() + real_parts)
-            imag_parts = _exact_partials((lw * roots.imag[index]).ravel().tolist() + imag_parts)
-    imag_total = math.fsum(imag_parts) / phi_n
+
+    def blocks(table: np.ndarray) -> Iterator[list[float]]:
+        for n, lw in weights:
+            shifts = ((squares_arr - n) % N)[:, None]
+            for start in range(0, coprime.size, step):
+                yield (lw * table[shifts * coprime[start:start + step] % N]).ravel().tolist()
+
+    imag_total = math.fsum(chain.from_iterable(blocks(roots.imag))) / phi_n
     if abs(imag_total) >= 1e-6:
         raise PrecisionError(f"imaginary residue {imag_total} in float path")
-    rhs_float = math.fsum(real_parts) / phi_n
+    rhs_float = math.fsum(chain.from_iterable(blocks(roots.real))) / phi_n
     return rhs_exact, rhs_float
 
 
@@ -352,10 +334,10 @@ def lower_bound_check(
     """Assemble lhs, rhs, M and E terms and compare lhs against their sum.
 
     Pure measurement: strict checks are off, the verdict is a field.  The
-    float rhs path runs only when it fits the work cap.
+    float rhs path runs only when it fits its caps.
     """
     lhs, records = lhs_quadratic_psi(spec, ctx.x)
-    rhs_exact, rhs_float = rhs_linear_expansion(spec, ctx, float_path="auto")
+    rhs_exact, rhs_float = rhs_linear_expansion(spec, ctx)
     M0, M1 = main_term_decomposition(spec, ctx, strict=False)
     E0, E1 = error_term_decomposition(spec, ctx)
     holds = lhs >= M0 + M1 + E0 + E1

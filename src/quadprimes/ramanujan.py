@@ -216,35 +216,16 @@ def parity_sum(ctx: ModulusContext, n: int, mode: ParityMode, strict: bool = Tru
     strict=True (the default) a differing total raises LemmaCounterexample;
     strict=False returns the measured total for data collection.
 
-    Every term is also checked against the alternating prediction (-1)**s, so
-    a raised counterexample pinpoints whether a single term or only the total
-    went wrong.
+    Every term goes through parity_value, so a raised counterexample
+    pinpoints whether a single term (parity-sign) or only the total
+    (parity-sum-value) went wrong.
     """
     _parity_shift(ctx, 1, n, mode)  # validates n and mode
-    total = 0
-    alternating = 0
-    for s in range(1, ctx.floor_sqrt_x + 1):
-        shift = s - n if mode == "linear" else s * s - n
-        if shift == 0:
-            continue
-        term = ramanujan_closed(ctx.N, shift).value
-        predicted = -1 if s % 2 else 1
-        if term != predicted:
-            raise LemmaCounterexample(
-                "parity-sign",
-                {"x": ctx.x, "p": ctx.p, "s": s, "n": n, "mode": mode},
-                predicted,
-                term,
-            )
-        total += term
-        alternating += predicted
-    if total != alternating:
-        raise LemmaCounterexample(
-            "alternating-total",
-            {"x": ctx.x, "p": ctx.p, "n": n, "mode": mode},
-            alternating,
-            total,
-        )
+    total = sum(
+        parity_value(ctx, s, n, mode)
+        for s in range(1, ctx.floor_sqrt_x + 1)
+        if (s if mode == "linear" else s * s) != n
+    )
     claimed = 0 if ctx.floor_sqrt_x % 2 == 0 else -1
     if strict and total != claimed:
         raise LemmaCounterexample(

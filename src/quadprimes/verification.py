@@ -10,11 +10,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import arith, asymptotics, identity, indicator, ramanujan
-from .errors import LemmaCounterexample
+from .errors import CapacityError, LemmaCounterexample
 
 # Shared identity-check grid: every admissible pair crossed with every x.
 IDENTITY_PAIRS = ((4, 1), (2, 1), (3, 2), (5, 2), (8, 3))
 IDENTITY_X_VALUES = (16, 36, 100, 144)
+# Direct-sum terms verify_ramanujan may run, about q_max^2/2 * (2 m_max + 1).
+DIRECT_WORK_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,10 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     """Three-way agreement of the direct, closed-form, and divisor sums."""
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
+    work = q_max * (q_max + 1) // 2 * (2 * m_max + 1)
+    if q_max > ramanujan.DIRECT_Q_CAP or work > DIRECT_WORK_CAP:
+        raise CapacityError(f"direct sums capped at q_max <= {ramanujan.DIRECT_Q_CAP} and "
+                            f"{DIRECT_WORK_CAP} terms; this sweep needs {work}")
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for q in range(1, q_max + 1):
@@ -159,7 +165,7 @@ def verify_identity(
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for spec, ctx in grid:
             lhs, _ = identity.lhs_quadratic_psi(spec, ctx.x)
-            rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path="auto")
+            rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
             rel = abs(rhs_exact - lhs) / abs(lhs) if lhs else abs(rhs_exact)
             yield _grid_check(rel > 1e-9, spec, ctx, "rhs-exact-equals-lhs", lhs, rhs_exact)
             if rhs_float is not None:

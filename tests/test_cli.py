@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadprimes import cli
+from quadprimes import arith, cli, ramanujan
 
 
 def _run(capsys, argv):
@@ -22,6 +22,17 @@ def test_render_json_float_precision():
     assert '"c": "1/2"' in text
     # Output must stay valid JSON after the float substitution.
     assert json.loads(text) == {"a": 0.3, "b": [1.0, True, None], "c": "1/2"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_render_json_non_finite_floats_parse_strictly():
+    payload = {"nan": float("nan"), "inf": [float("inf"), float("-inf")], "v": 0.1}
+    text = cli.render_json(payload)
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "nan": "nan", "inf": ["inf", "-inf"], "v": 0.1}
 
 
 def test_render_json_fifteen_significant_digits():
@@ -157,6 +168,26 @@ def test_usage_errors_exit_two(capsys):
         code = cli.run(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+def test_invariant_guard_exits_two(capsys, monkeypatch):
+    # A broken totient makes ramanujan_closed's divisibility guard fire.
+    real_phi = arith.euler_phi
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 3 if n == 3 else real_phi(n))
+    code, out, err = _run(capsys, ["ramanujan", "--q", "6", "--m", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: phi(6) not divisible by phi(3)\n"
+
+
+def test_oversized_ramanujan_sweep_refused_before_it_starts(capsys, monkeypatch):
+    def never(q, m):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(ramanujan, "ramanujan_closed", never)
+    code, out, err = _run(capsys, ["verify", "ramanujan", "--q-max", "2000000", "--m-max", "0"])
+    assert code == 2
+    assert out == "" and err.startswith("error: direct sums capped")
 
 
 @pytest.mark.parametrize(

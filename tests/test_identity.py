@@ -1,12 +1,11 @@
 """Identity and decomposition measurements against brute-force values."""
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from quadprimes import arith, identity, indicator, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample
@@ -96,7 +95,7 @@ def test_rhs_exact_exceeds_lhs_by_reciprocal_phi():
 def test_rhs_float_path_agreement_at_100():
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(100)
-    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path=True)
+    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
     assert rhs_float is not None
     assert abs(rhs_float - rhs_exact) < 1e-6
 
@@ -104,20 +103,34 @@ def test_rhs_float_path_agreement_at_100():
 def test_rhs_float_path_capacity():
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(10404)
-    with pytest.raises(CapacityError):
-        identity.rhs_linear_expansion(spec, ctx, float_path=True)
-    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path="auto")
+    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    assert rhs_float is None and rhs_exact > 0
+
+
+def test_rhs_float_route_skips_oversized_tables(monkeypatch):
+    # N = 3.7e8 passes the work cap with 7.5e8 terms, but its tables would
+    # need about 12 GB; the route must be skipped before any is built.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(4, "inflated", 15.0)
+    assert ctx.N > identity.FLOAT_TABLE_CAP
+    assert 2 * ctx.floor_sqrt_x * arith.euler_phi(ctx.N) <= identity.FLOAT_WORK_CAP
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("float-route table built")
+
+    monkeypatch.setattr(identity.np, "fromiter", refuse)
+    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
     assert rhs_float is None and rhs_exact > 0
 
 
 def test_rhs_float_path_memory_is_bounded():
-    # x = 256 sums about 1M real and imaginary terms; the float route keeps
-    # exact partials of each block instead of every term.
+    # x = 256 sums about 1M real and imaginary terms; the float route
+    # streams them block by block into math.fsum instead of keeping them.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(256)
     tracemalloc.start()
     try:
-        _, rhs_float = identity.rhs_linear_expansion(spec, ctx, float_path=True)
+        _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -125,16 +138,20 @@ def test_rhs_float_path_memory_is_bounded():
     assert peak < 2 * 2**20, peak
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
-
-
-@given(st.lists(st.lists(_finite, max_size=40), max_size=8))
-def test_exact_partials_keep_fsum_bitwise(blocks):
-    parts: list[float] = []
-    for block in blocks:
-        parts = identity._exact_partials(block + parts)
-    everything = [v for block in blocks for v in block]
-    assert math.fsum(parts).hex() == math.fsum(everything).hex()
+def test_rhs_float_is_correctly_rounded_sum_of_every_term():
+    # The float route must round the exact sum of all its terms once: plain
+    # left-to-right addition of the same terms gives different low bits.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(64)
+    N, R = ctx.N, ctx.floor_sqrt_x
+    roots = [cmath.exp(2j * math.pi * k / N) for k in range(N)]
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    terms: list[float] = []
+    for n in range(1, ctx.x + 1, 2):
+        lw = arith.von_mangoldt(4 * n + 1).log_weight
+        terms += [lw * roots[(s * s - n) * u % N].real for s in range(1, R + 1) for u in units]
+    _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    assert rhs_float.hex() == (math.fsum(terms) / len(units)).hex()
 
 
 def test_rhs_exact_matches_square_indicator_route_on_default_grid():
@@ -147,7 +164,7 @@ def test_rhs_exact_matches_square_indicator_route_on_default_grid():
                 * float(indicator.square_char_exp_value(ctx, n))
                 for n in range(1, x + 1, 2)
             )
-            rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx, float_path=False)
+            rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx)
             assert rhs_exact == expected, (q, a, x)
 
 

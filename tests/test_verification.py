@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from quadprimes import verification
+from quadprimes import ramanujan, verification
+from quadprimes.errors import CapacityError
 
 # Failing parity cases per x, established by exhaustive independent runs:
 # linear mode fails at odd n <= floor(sqrt(x)), quadratic mode at odd squares.
@@ -26,6 +27,18 @@ def test_ramanujan_suite_all_pass():
 def test_ramanujan_suite_rejects_bad_bounds():
     with pytest.raises(ValueError):
         verification.verify_ramanujan(0, 10)
+
+
+def test_ramanujan_suite_refuses_oversized_sweeps_up_front(monkeypatch):
+    def never(q, m):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(ramanujan, "ramanujan_closed", never)
+    with pytest.raises(CapacityError):
+        verification.verify_ramanujan(ramanujan.DIRECT_Q_CAP + 1, 0)
+    # 1000 * 1001 / 2 * 2001 = 1.0e9 terms, just over the work cap.
+    with pytest.raises(CapacityError):
+        verification.verify_ramanujan(1000, 1000)
 
 
 def test_parity_suite_counterexample_inventory():
