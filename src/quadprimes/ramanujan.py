@@ -7,6 +7,9 @@ routes are exposed so each can cross-check the others:
     ramanujan_closed: mu(q/d) * phi(q) / phi(q/d) with d = gcd(|m|, q)
     ramanujan_divisor: sum of mu(q/d) * d over d | gcd(|m|, q)
 
+Each route memoises its value, bounded, on exactly the integers its formula
+reads: the direct sum on (q, m % q), the other two on (q, gcd(|m|, q)).
+
 shift_sum adds weighted closed-form values c_N(t - n) exactly; the square
 indicator and every exact identity path are that one sum.
 
@@ -28,6 +31,10 @@ from . import arith
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
 
 DIRECT_Q_CAP = 10**6
+
+# Entries per route memo.  A sweep over m for one q needs at most q direct
+# entries and one closed or divisor entry per divisor of q.
+_MEMO_SIZE = 1 << 12
 
 ParityMode = Literal["linear", "quadratic"]
 
@@ -88,6 +95,18 @@ def _coprime_residues(q: int) -> tuple[int, ...]:
     return tuple(a for a in range(q) if math.gcd(a, q) == 1)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _direct_total(q: int, r: int) -> complex:
+    # Keyed by the residue r = m % q, since a*m % q == a*r % q is all the
+    # loop reads.  Not by gcd(|m|, q): that key would assume the theorem the
+    # direct route is there to check.
+    roots = _unit_roots(q)
+    total = 0j
+    for a in _coprime_residues(q):
+        total += roots[a * r % q]
+    return total
+
+
 def ramanujan_direct(q: int, m: int) -> RamanujanEvaluation:
     """c_q(m) by literal complex summation.
 
@@ -106,10 +125,7 @@ def ramanujan_direct(q: int, m: int) -> RamanujanEvaluation:
         raise ValueError("q must be >= 1")
     if q > DIRECT_Q_CAP:
         raise CapacityError(f"direct path capped at q <= {DIRECT_Q_CAP}")
-    roots = _unit_roots(q)
-    total = 0j
-    for a in _coprime_residues(q):
-        total += roots[a * m % q]
+    total = _direct_total(q, m % q)
     value = round(total.real)
     residual = max(abs(total.imag), abs(total.real - value))
     if residual >= 1e-6:
@@ -124,15 +140,19 @@ def ramanujan_closed(q: int, m: int) -> RamanujanEvaluation:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    d = math.gcd(abs(m), q)
+    return RamanujanEvaluation(q, m, _closed_value(q, math.gcd(abs(m), q)), "closed")
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _closed_value(q: int, d: int) -> int:
     qd = q // d
     mu = arith.mobius(qd)
     if mu == 0:
-        return RamanujanEvaluation(q, m, 0, "closed")
+        return 0
     quotient, remainder = divmod(arith.euler_phi(q), arith.euler_phi(qd))
     if remainder:
         raise ArithmeticError(f"phi({q}) not divisible by phi({qd})")
-    return RamanujanEvaluation(q, m, mu * quotient, "closed")
+    return mu * quotient
 
 
 def shift_sum(N: int, n: int, points: Iterable[tuple[int, int]], cache: dict[int, int]) -> int:
@@ -163,9 +183,12 @@ def ramanujan_divisor(q: int, m: int) -> RamanujanEvaluation:
     """c_q(m) by the divisor sum of mu(q/d) * d over d | gcd(|m|, q)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    g = math.gcd(abs(m), q)
-    value = sum(arith.mobius(q // d) * d for d in _divisors_ascending(g))
-    return RamanujanEvaluation(q, m, value, "divisor")
+    return RamanujanEvaluation(q, m, _divisor_value(q, math.gcd(abs(m), q)), "divisor")
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _divisor_value(q: int, g: int) -> int:
+    return sum(arith.mobius(q // d) * d for d in _divisors_ascending(g))
 
 
 def _parity_shift(ctx: ModulusContext, s: int, n: int, mode: str) -> int:

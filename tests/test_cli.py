@@ -170,8 +170,9 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
 
 
-def test_invariant_guard_exits_two(capsys, monkeypatch):
-    # A broken totient makes ramanujan_closed's divisibility guard fire.
+def test_invariant_guard_exits_two(capsys, monkeypatch, cold_ramanujan_memos):
+    # A broken totient makes ramanujan_closed's divisibility guard fire; the
+    # memos are cold, so phi is read under the patch.
     real_phi = arith.euler_phi
     monkeypatch.setattr(arith, "euler_phi", lambda n: 3 if n == 3 else real_phi(n))
     code, out, err = _run(capsys, ["ramanujan", "--q", "6", "--m", "2"])

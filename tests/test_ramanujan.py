@@ -48,14 +48,18 @@ def test_special_arguments():
         assert ramanujan.ramanujan_closed(q, 1).value == arith.mobius(q)
 
 
+ROUTES = (ramanujan.ramanujan_direct, ramanujan.ramanujan_closed, ramanujan.ramanujan_divisor)
+
+
 def test_symmetry_and_periodicity():
     rng = random.Random(99)
     for _ in range(200):
         q = rng.randrange(1, 150)
         m = rng.randrange(-300, 301)
-        c = ramanujan.ramanujan_closed(q, m).value
-        assert c == ramanujan.ramanujan_closed(q, -m).value
-        assert c == ramanujan.ramanujan_closed(q, m + q).value
+        for route in ROUTES:
+            c = route(q, m).value
+            assert c == route(q, -m).value, (route.__name__, q, m)
+            assert c == route(q, m + q).value, (route.__name__, q, m)
 
 
 def test_multiplicative_in_q():
@@ -66,9 +70,26 @@ def test_multiplicative_in_q():
         if math.gcd(q1, q2) != 1:
             continue
         m = rng.randrange(-50, 51)
-        lhs = ramanujan.ramanujan_closed(q1 * q2, m).value
-        rhs = ramanujan.ramanujan_closed(q1, m).value * ramanujan.ramanujan_closed(q2, m).value
-        assert lhs == rhs, (q1, q2, m)
+        for route in ROUTES:
+            lhs = route(q1 * q2, m).value
+            rhs = route(q1, m).value * route(q2, m).value
+            assert lhs == rhs, (route.__name__, q1, q2, m)
+
+
+def test_memo_keys(cold_ramanujan_memos):
+    # The direct route is keyed by the residue m % q: 1 and 5 share
+    # gcd(m, 12) = 1 but are two residues, and 13 is the residue of 1.
+    ramanujan.ramanujan_direct(12, 1)
+    ramanujan.ramanujan_direct(12, 5)
+    assert ramanujan._direct_total.cache_info()[:2] == (0, 2)
+    ramanujan.ramanujan_direct(12, 13)
+    assert ramanujan._direct_total.cache_info()[:2] == (1, 2)
+    # The closed form and the divisor sum are keyed by gcd(|m|, q).
+    for route, memo in ((ramanujan.ramanujan_closed, ramanujan._closed_value),
+                        (ramanujan.ramanujan_divisor, ramanujan._divisor_value)):
+        route(12, 1)
+        route(12, 5)
+        assert memo.cache_info()[:2] == (1, 1), route.__name__
 
 
 def test_direct_capacity_cap():
