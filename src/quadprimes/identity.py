@@ -60,23 +60,6 @@ class PolynomialSpec:
         return self.q * n * n + self.a
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Assembled measurement of the identity and both decompositions."""
-
-    ctx: ramanujan.ModulusContext
-    spec: PolynomialSpec
-    lhs: float
-    rhs_exact: float
-    rhs_float: Optional[float]
-    M0: float
-    M1: float
-    E0: float
-    E1: float
-    records: tuple[tuple[int, arith.VonMangoldtValue], ...]
-    lower_bound_holds: bool
-
-
 def check_admissible(q: int, a: int) -> PolynomialSpec:
     """Populate every admissibility flag for f(t) = q t^2 + a.
 
@@ -111,9 +94,7 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
             raise ValueError("c must be positive")
         target = math.ceil(x * math.exp(c * math.sqrt(math.log(x))))
         p = target if arith.is_prime(target) else arith.next_prime_above(target)
-    r = math.isqrt(x)
-    parity = "even" if r % 2 == 0 else "odd"
-    return ramanujan.ModulusContext(x=x, p=p, N=2 * p, floor_sqrt_x=r, floor_sqrt_parity=parity)
+    return ramanujan.ModulusContext(x=x, p=p)
 
 
 def _require_admissible(spec: PolynomialSpec) -> None:
@@ -168,12 +149,12 @@ def _shift_coefficients(
     spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]
 ) -> Iterator[tuple[int, float, int]]:
     # (n, Lambda(q n + a), sum of w * c_N(t - n) over points) for each odd
-    # n <= x with nonzero weight; one c_N cache serves every n.
-    cache: dict[int, int] = {}
+    # n <= x with nonzero weight.
+    shift_sum = ramanujan.shift_sums(ctx, points)
     for n in range(1, ctx.x + 1, 2):
         lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
         if lw != 0.0:
-            yield n, lw, ramanujan.shift_sum(ctx.N, n, points, cache)
+            yield n, lw, shift_sum(n)
 
 
 def rhs_linear_expansion(
@@ -280,7 +261,8 @@ def error_term_decomposition(
     Reindexing s = d m over divisors 1 < d of s turns the error part into a
     sum over pairs (d, m) with d m <= sqrt(x).  E0 collects the n = d m
     diagonal, E1 the rest via exact c_N values.  Capped at x <=
-    ERROR_TERM_X_CAP because the pair-by-shift loop is quadratic in x.
+    ERROR_TERM_X_CAP, which bounds this pair list and error_term_total's
+    divisor weights.
     """
     phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
@@ -326,31 +308,3 @@ def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> flo
 
     terms = [coeff * lw for _, lw, coeff in _shift_coefficients(spec, ctx, weighted) if coeff]
     return math.fsum(terms) / phi_n
-
-
-def lower_bound_check(
-    spec: PolynomialSpec, ctx: ramanujan.ModulusContext
-) -> DecompositionReport:
-    """Assemble lhs, rhs, M and E terms and compare lhs against their sum.
-
-    Pure measurement: strict checks are off, the verdict is a field.  The
-    float rhs path runs only when it fits its caps.
-    """
-    lhs, records = lhs_quadratic_psi(spec, ctx.x)
-    rhs_exact, rhs_float = rhs_linear_expansion(spec, ctx)
-    M0, M1 = main_term_decomposition(spec, ctx, strict=False)
-    E0, E1 = error_term_decomposition(spec, ctx)
-    holds = lhs >= M0 + M1 + E0 + E1
-    return DecompositionReport(
-        ctx=ctx,
-        spec=spec,
-        lhs=lhs,
-        rhs_exact=rhs_exact,
-        rhs_float=rhs_float,
-        M0=M0,
-        M1=M1,
-        E0=E0,
-        E1=E1,
-        records=records,
-        lower_bound_holds=holds,
-    )

@@ -43,7 +43,7 @@ def nearest_even_parity_x(x: int) -> int:
 
 
 def _require_even_parity(ctx: ramanujan.ModulusContext) -> None:
-    if ctx.floor_sqrt_parity != "even":
+    if ctx.floor_sqrt_x % 2:
         raise ValueError(
             f"floor(sqrt(x)) is odd for x={ctx.x}; "
             f"nearest valid x is {nearest_even_parity_x(ctx.x)}"
@@ -60,7 +60,7 @@ def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     if n % 2 == 0 or not 1 <= n <= ctx.x:
         raise ValueError(f"n={n} must be odd and within 1..{ctx.x}")
     squares = [(1, s * s) for s in range(1, ctx.floor_sqrt_x + 1)]
-    return Fraction(ramanujan.shift_sum(ctx.N, n, squares, {}), arith.euler_phi(ctx.N))
+    return Fraction(ramanujan.shift_sums(ctx, squares)(n), arith.euler_phi(ctx.N))
 
 
 def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
@@ -81,20 +81,6 @@ def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
         "0 or 1",
         value,
     )
-
-
-def liouville_divisor_sum(n: int) -> int:
-    """Literal divisor sum of the Liouville function, the slow cross-check."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += arith.liouville(d)
-            other = n // d
-            if other != d:
-                total += arith.liouville(other)
-    return total
 
 
 def square_char_liouville(n: int) -> SquareVerdict:

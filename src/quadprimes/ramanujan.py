@@ -10,8 +10,10 @@ routes are exposed so each can cross-check the others:
 Each route memoises its value, bounded, on exactly the integers its formula
 reads: the direct sum on (q, m % q), the other two on (q, gcd(|m|, q)).
 
-shift_sum adds weighted closed-form values c_N(t - n) exactly; the square
-indicator and every exact identity path are that one sum.
+shift_sums gives the exact sum of w * c_N(t - n) over weighted points (w, t)
+for every n in 1..x at N = 2p, from three closed-form values: for
+1 <= t, n <= x < p the gcd of t - n with 2p depends only on whether t - n
+is 0, even or odd.  The square indicator and every exact identity path are that one sum.
 
 For a modulus N = 2p with p prime and p > x, c_N(m) with 0 < |m| < p only
 depends on the parity of m.  parity_value checks the sign prediction (-1)**s
@@ -25,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from . import arith
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
@@ -46,16 +48,10 @@ class ModulusContext:
     Attributes:
         x: range bound for n (and s <= sqrt(x)).
         p: prime with p > x.
-        N: 2 * p.
-        floor_sqrt_x: integer square root of x.
-        floor_sqrt_parity: "even" or "odd", the parity of floor_sqrt_x.
     """
 
     x: int
     p: int
-    N: int
-    floor_sqrt_x: int
-    floor_sqrt_parity: str
 
     def __post_init__(self) -> None:
         if self.x < 1:
@@ -64,13 +60,16 @@ class ModulusContext:
             raise ValueError(f"p={self.p} is not prime")
         if self.p <= self.x:
             raise ValueError(f"p={self.p} must exceed x={self.x}")
-        if self.N != 2 * self.p:
-            raise ValueError(f"N={self.N} must equal 2p={2 * self.p}")
-        if self.floor_sqrt_x != math.isqrt(self.x):
-            raise ValueError(f"floor_sqrt_x={self.floor_sqrt_x} is not isqrt({self.x})")
-        expected = "even" if self.floor_sqrt_x % 2 == 0 else "odd"
-        if self.floor_sqrt_parity != expected:
-            raise ValueError(f"floor_sqrt_parity must be {expected!r}")
+
+    @property
+    def N(self) -> int:
+        """The modulus 2p."""
+        return 2 * self.p
+
+    @property
+    def floor_sqrt_x(self) -> int:
+        """Integer square root of x."""
+        return math.isqrt(self.x)
 
 
 @dataclass(frozen=True)
@@ -155,21 +154,35 @@ def _closed_value(q: int, d: int) -> int:
     return mu * quotient
 
 
-def shift_sum(N: int, n: int, points: Iterable[tuple[int, int]], cache: dict[int, int]) -> int:
-    """Exact sum of w * c_N(t - n) over the (w, t) in points.
+def shift_sums(ctx: ModulusContext, points: Iterable[tuple[int, int]]) -> Callable[[int], int]:
+    """The map n -> exact sum of w * c_N(t - n) over the (w, t) in points.
 
-    Every c_N value comes from ramanujan_closed, memoised in cache by shift;
-    the caller owns the cache and may share it across n for one N.  The
-    diagonal t = n needs no special case, since c_N(0) = phi(N).
+    For t and n in 1..x with x < p, gcd(t - n, 2p) is 2 when t - n is even
+    and nonzero, 1 when it is odd, and 2p at t = n.  So the sum is
+    c_N(2) times the weight of the same-parity points off the diagonal,
+    plus c_N(1) times the opposite-parity weight, plus c_N(0) = phi(N)
+    times the weight at t = n.  All three values come from
+    ramanujan_closed.  The points are read once; each n then costs O(1).
+
+    Raises:
+        ValueError: a point t, or a later n, outside 1..x.
     """
-    total = 0
+    class_weight = [0, 0]
+    diagonal: dict[int, int] = {}
     for w, t in points:
-        shift = t - n
-        value = cache.get(shift)
-        if value is None:
-            value = cache[shift] = ramanujan_closed(N, shift).value
-        total += w * value
-    return total
+        if not 1 <= t <= ctx.x:
+            raise ValueError(f"t={t} outside 1..{ctx.x}")
+        class_weight[t % 2] += w
+        diagonal[t] = diagonal.get(t, 0) + w
+    c0, c1, c2 = (ramanujan_closed(ctx.N, m).value for m in (0, 1, 2))
+
+    def shift_sum(n: int) -> int:
+        if not 1 <= n <= ctx.x:
+            raise ValueError(f"n={n} outside 1..{ctx.x}")
+        d = diagonal.get(n, 0)
+        return c2 * (class_weight[n % 2] - d) + c1 * class_weight[1 - n % 2] + c0 * d
+
+    return shift_sum
 
 
 def _divisors_ascending(n: int) -> list[int]:

@@ -3,6 +3,8 @@
 The Ramanujan closed form and divisor sum memoise each (q, d) value built
 from mobius and euler_phi, so one wrong value would be replayed into every
 later call; these tests check the kernel against an independent library.
+The jacobi and prime_power_base tests are the oracle for any rewrite of
+those two functions.
 """
 from __future__ import annotations
 
@@ -81,3 +83,46 @@ def test_mobius_matches_sympy(n):
 @given(_u64())
 def test_euler_phi_matches_sympy(n):
     assert arith.euler_phi(n) == sympy.totient(n), n
+
+
+@DIFF
+@given(st.one_of(_u64(lo=0), _u64().map(lambda a: -a)), _u64().map(lambda n: n | 1))
+def test_jacobi_matches_sympy(a, n):
+    assert arith.jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+# Prime powers p**k at the top of the 64-bit range; 65537**4 lies just
+# above 2**64.
+PRIME_POWERS = ((2, 61), (3, 40), (251, 8), (257, 7), (65537, 4), (4294967291, 2))
+
+
+def _prime_power(p: int, k: int) -> int:
+    while k > 1 and p**k > U64_MAX:
+        k -= 1
+    return p**k
+
+
+def _expected_prime_power_base(n: int):
+    if n < 2:
+        return None
+    if sympy.isprime(n):
+        return (n, 1)
+    power = sympy.perfect_power(n)
+    if power and sympy.isprime(power[0]):
+        return power
+    return None
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS)
+def test_prime_power_base_at_top_of_range(p, k):
+    assert arith.prime_power_base(p**k) == _expected_prime_power_base(p**k) == (p, k)
+
+
+@DIFF
+@given(st.one_of(
+    _u64(lo=0),
+    st.builds(_prime_power, st.sampled_from(list(sympy.primerange(2, 1000))), st.integers(2, 63)),
+    st.builds(lambda b, k: min(U64_MAX, b**k), st.integers(2, 2**16), st.integers(2, 8)),
+))
+def test_prime_power_base_matches_sympy(n):
+    assert arith.prime_power_base(n) == _expected_prime_power_base(n), n

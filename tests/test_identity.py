@@ -40,7 +40,7 @@ def test_check_admissible_negative_constant():
 
 def test_make_context():
     ctx = identity.make_context(16)
-    assert (ctx.p, ctx.N, ctx.floor_sqrt_x, ctx.floor_sqrt_parity) == (17, 34, 4, "even")
+    assert (ctx.p, ctx.N, ctx.floor_sqrt_x) == (17, 34, 4)
     assert identity.make_context(100).p == 101
     inflated = identity.make_context(16, "inflated", 1.0)
     assert inflated.p == 89 and inflated.N == 178
@@ -247,22 +247,3 @@ def test_error_term_capacity_cap():
     with pytest.raises(CapacityError):
         identity.error_term_total(spec, ctx)
 
-
-def test_lower_bound_report_assembly():
-    spec = identity.check_admissible(4, 1)
-    ctx = identity.make_context(16)
-    report = identity.lower_bound_check(spec, ctx)
-    assert report.lhs == pytest.approx(5.220355825078324, rel=1e-15)
-    assert report.M0 + report.M1 + report.E0 + report.E1 == pytest.approx(
-        1.710027781961231, rel=1e-12
-    )
-    assert report.lower_bound_holds is True
-    assert report.rhs_float is not None
-    assert [n for n, _ in report.records] == [1, 3]
-
-    for q, a, x, bound in ((4, 1, 100, 4.195954), (3, 2, 36, 1.654145)):
-        rep = identity.lower_bound_check(
-            identity.check_admissible(q, a), identity.make_context(x)
-        )
-        assert rep.lower_bound_holds is True, (q, a, x)
-        assert rep.M0 + rep.M1 + rep.E0 + rep.E1 == pytest.approx(bound, abs=1e-5)

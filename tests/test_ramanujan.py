@@ -6,15 +6,12 @@ import random
 
 import pytest
 
-from quadprimes import arith, ramanujan
+from quadprimes import arith, identity, ramanujan
 from quadprimes.errors import CapacityError, LemmaCounterexample
 
 
 def _ctx(x: int) -> ramanujan.ModulusContext:
-    p = arith.next_prime_above(x)
-    r = arith.integer_root(x, 2)
-    parity = "even" if r % 2 == 0 else "odd"
-    return ramanujan.ModulusContext(x=x, p=p, N=2 * p, floor_sqrt_x=r, floor_sqrt_parity=parity)
+    return ramanujan.ModulusContext(x=x, p=arith.next_prime_above(x))
 
 
 def test_frozen_spot_values():
@@ -99,15 +96,58 @@ def test_direct_capacity_cap():
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        ramanujan.ModulusContext(x=16, p=15, N=30, floor_sqrt_x=4, floor_sqrt_parity="even")
+        ramanujan.ModulusContext(x=16, p=15)
     with pytest.raises(ValueError):
-        ramanujan.ModulusContext(x=16, p=13, N=26, floor_sqrt_x=4, floor_sqrt_parity="even")
-    with pytest.raises(ValueError):
-        ramanujan.ModulusContext(x=16, p=17, N=36, floor_sqrt_x=4, floor_sqrt_parity="even")
-    with pytest.raises(ValueError):
-        ramanujan.ModulusContext(x=16, p=17, N=34, floor_sqrt_x=5, floor_sqrt_parity="odd")
-    with pytest.raises(ValueError):
-        ramanujan.ModulusContext(x=16, p=17, N=34, floor_sqrt_x=4, floor_sqrt_parity="odd")
+        ramanujan.ModulusContext(x=16, p=13)
+    ctx = ramanujan.ModulusContext(x=16, p=17)
+    assert (ctx.N, ctx.floor_sqrt_x) == (34, 4)
+
+
+def _caller_points(x: int) -> dict[str, list[tuple[int, int]]]:
+    # The weighted points of each exact path: the square indicator and the
+    # linear expansion, M1, E1 and the direct error total.
+    R = math.isqrt(x)
+    divisor_weights = [(sum(arith.liouville(d) for d in range(2, s + 1) if s % d == 0), s)
+                       for s in range(1, R + 1)]
+    return {
+        "squares": [(1, s * s) for s in range(1, R + 1)],
+        "window": [(1, s) for s in range(1, R + 1)],
+        "pairs": [(arith.liouville(d), dm) for d, _, dm in identity.dyadic_pairs(R)],
+        "divisor weights": [(w, s) for w, s in divisor_weights if w],
+    }
+
+
+@pytest.mark.parametrize("x", (16, 100, 144, 1296, 10**4))
+def test_shift_sums_match_literal_closed_form_sum(x):
+    ctx = _ctx(x)
+    for name, points in _caller_points(x).items():
+        shift_sum = ramanujan.shift_sums(ctx, points)
+        for n in range(1, x + 1, 2):
+            expected = sum(w * ramanujan.ramanujan_closed(ctx.N, t - n).value for w, t in points)
+            assert shift_sum(n) == expected, (name, x, n)
+
+
+@pytest.mark.parametrize("x", (16, 100, 144))
+def test_shift_sums_match_direct_summation(x):
+    ctx = _ctx(x)
+    for name, points in _caller_points(x).items():
+        shift_sum = ramanujan.shift_sums(ctx, points)
+        for n in range(1, x + 1, 2):
+            expected = sum(w * ramanujan.ramanujan_direct(ctx.N, t - n).value for w, t in points)
+            assert shift_sum(n) == expected, (name, x, n)
+
+
+def test_shift_sums_reject_points_outside_range():
+    # Beyond 1..x a shift t - n can be a nonzero multiple of p, where the
+    # parity classes no longer give the value.
+    ctx = _ctx(16)
+    for t in (0, 17, ctx.p + 1):
+        with pytest.raises(ValueError):
+            ramanujan.shift_sums(ctx, [(1, 4), (1, t)])
+    shift_sum = ramanujan.shift_sums(ctx, [(1, 4)])
+    for n in (0, 17):
+        with pytest.raises(ValueError):
+            shift_sum(n)
 
 
 def test_parity_value_sign_alternation():
