@@ -10,10 +10,13 @@ measured psi2 against the predicted (c_f / 2) * sqrt(x) curve.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from . import arith
 from .errors import CapacityError
@@ -64,6 +67,17 @@ class ComparisonRow:
     ratio: float
 
 
+def _prime_power_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, f(n), base prime, exponent) for each odd n <= n_max with f(n) a prime power."""
+    for n in range(1, n_max + 1, 2):
+        value = spec.value_at(n)
+        if value < 2:
+            continue
+        pp = arith.prime_power_base(value)
+        if pp is not None:
+            yield (n, value, *pp)
+
+
 def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> CountResult:
     """Lambda-weighted count of prime-power values f(n) over odd n <= sqrt(x).
 
@@ -78,19 +92,13 @@ def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> Coun
     hits: list[tuple[int, int, int, int]] = []
     log_terms: list[float] = []
     prime_count = 0
-    for n in range(1, n_max + 1, 2):
-        value = spec.value_at(n)
-        if value < 2:
-            continue
-        pp = arith.prime_power_base(value)
-        if pp is None:
-            continue
-        base, exponent = pp
+    for hit in _prime_power_hits(spec, n_max):
+        _, _, base, exponent = hit
         log_terms.append(math.log(base))
         if exponent == 1:
             prime_count += 1
         if collect_hits:
-            hits.append((n, value, base, exponent))
+            hits.append(hit)
     return CountResult(
         spec=spec,
         n_max=n_max,
@@ -152,6 +160,41 @@ def epsilon_factor(q: int) -> Fraction:
     return Fraction(1, 1) if q % 2 == 0 else Fraction(1, 2)
 
 
+def _residues(m: int, primes: np.ndarray) -> np.ndarray:
+    """m mod p for each p in an int64 array of primes below 2**27, for any int m.
+
+    Horner's rule over 31-bit limbs of |m| keeps every intermediate below
+    2**58, so the reduction is exact however large m is.
+    """
+    magnitude = abs(m)
+    limbs = []
+    while True:
+        limbs.append(magnitude & 0x7FFFFFFF)
+        magnitude >>= 31
+        if not magnitude:
+            break
+    r = np.zeros_like(primes)
+    for limb in reversed(limbs):
+        r = ((r << 31) + limb) % primes
+    return (primes - r) % primes if m < 0 else r
+
+
+def _characters(m: int, primes: np.ndarray) -> np.ndarray:
+    """Legendre symbols (m | p) for odd primes p below 2**27, by Euler's criterion.
+
+    r**((p-1)/2) mod p is taken by square-and-multiply on every p at once;
+    each product of two residues stays below 2**54.
+    """
+    base = _residues(m, primes)
+    power = np.ones_like(primes)
+    exponent = (primes - 1) >> 1
+    while exponent.any():
+        power = np.where((exponent & 1) == 1, power * base % primes, power)
+        base = base * base % primes
+        exponent >>= 1
+    return np.where(power == primes - 1, -1, power)
+
+
 def bateman_horn_constant(
     spec: PolynomialSpec, cutoff: int, variant: str = "hl"
 ) -> EulerProductReport:
@@ -162,10 +205,14 @@ def bateman_horn_constant(
         paper: epsilon * prod of p/(p-1) for p | q, else (1 - chi(p)/p)
         hl:    prod of p/(p-1) for p | q, else (1 - chi(p)/(p-1))
 
-    with chi(p) the Jacobi symbol (-a q | p).  Only the "hl" variant
+    with chi(p) the Legendre symbol (-a q | p).  Only the "hl" variant
     reproduces the reference value 1.37281346 for t^2 + 1; the "paper"
     variant is kept as reported data.  The trace samples the partial
     product after each power of ten.
+
+    The primes come in sieve blocks.  Each factor is one IEEE operation on
+    exact integers, and np.multiply.accumulate multiplies strictly in
+    sequence, so every partial product equals the prime-by-prime loop's.
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
@@ -184,23 +231,35 @@ def bateman_horn_constant(
     mark_index = 0
     last_prime = 0
 
-    for p in arith.iter_primes(cutoff):
-        if p == 2:
+    for block in arith.prime_blocks(cutoff):
+        primes = block[block != 2]
+        if not primes.size:
             continue
-        while mark_index < len(marks) and p > marks[mark_index]:
-            trace.append((last_prime, product))
-            mark_index += 1
-        if spec.q % p == 0:
-            factor = p / (p - 1)
-        else:
-            chi = arith.jacobi((-spec.a * spec.q) % p, p)
-            factor = 1.0 - chi / p if variant == "paper" else 1.0 - chi / (p - 1)
+        as_float = primes.astype(np.float64)
+        chi = _characters(-spec.a * spec.q, primes).astype(np.float64)
+        denominator = as_float if variant == "paper" else as_float - 1.0
+        factors = np.where(
+            _residues(spec.q, primes) == 0, as_float / (as_float - 1.0), 1.0 - chi / denominator
+        )
         if character_of_one and variant == "hl":
             # For t^2 + 1 the factor must straddle 1 according to p mod 4.
-            if (factor < 1.0) != (p % 4 == 1):
-                raise ArithmeticError(f"factor {factor} on wrong side of 1 at p={p}")
-        product *= factor
-        last_prime = p
+            wrong = np.flatnonzero((factors < 1.0) != (primes % 4 == 1))
+            if wrong.size:
+                i = wrong[0]
+                raise ArithmeticError(
+                    f"factor {float(factors[i])} on wrong side of 1 at p={int(primes[i])}"
+                )
+        partials = np.multiply.accumulate(np.concatenate(([product], factors)))[1:]
+        while mark_index < len(marks) and primes[-1] > marks[mark_index]:
+            # The partial product just before the first prime past the mark.
+            i = int(np.searchsorted(primes, marks[mark_index], side="right"))
+            if i:
+                trace.append((int(primes[i - 1]), float(partials[i - 1])))
+            else:
+                trace.append((last_prime, product))
+            mark_index += 1
+        last_prime = int(primes[-1])
+        product = float(partials[-1])
 
     if not trace or trace[-1][0] != last_prime:
         trace.append((last_prime, product))
@@ -223,7 +282,9 @@ def compare_asymptotic(
     """Measured psi2 against (c_f / 2) * sqrt(x) at geometrically spaced x.
 
     The constant is the hl-variant product at the given cutoff, the only
-    convention that matches the stated numeric value for t^2 + 1.
+    convention that matches the stated numeric value for t^2 + 1.  The odd
+    n up to sqrt(x_max) are scanned once; each row's psi2 is the fsum of
+    its prefix of log terms, the same terms psi2_count(spec, x) sums.
     """
     _require_admissible(spec)
     if steps < 1:
@@ -241,9 +302,14 @@ def compare_asymptotic(
     if xs[-1] != x_max:
         xs[-1] = x_max
 
+    hit_ns: list[int] = []
+    log_terms: list[float] = []
+    for n, _, base, _ in _prime_power_hits(spec, math.isqrt(x_max)):
+        hit_ns.append(n)
+        log_terms.append(math.log(base))
     rows: list[ComparisonRow] = []
     for x in xs:
-        psi = psi2_count(spec, x).psi_value
+        psi = math.fsum(log_terms[: bisect.bisect_right(hit_ns, math.isqrt(x))])
         conjectured = 0.5 * constant * math.sqrt(x)
         rows.append(ComparisonRow(x=x, psi2=psi, conjectured=conjectured, ratio=psi / conjectured))
     return rows

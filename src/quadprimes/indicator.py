@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 from . import arith, ramanujan
 from .errors import LemmaCounterexample
@@ -59,8 +60,16 @@ def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     _require_even_parity(ctx)
     if n % 2 == 0 or not 1 <= n <= ctx.x:
         raise ValueError(f"n={n} must be odd and within 1..{ctx.x}")
+    shift_sum, phi = _square_kernel(ctx)
+    return Fraction(shift_sum(n), phi)
+
+
+@lru_cache(maxsize=1)
+def _square_kernel(ctx: ramanujan.ModulusContext) -> tuple[Callable[[int], int], int]:
+    """The shift-sum kernel over the squares s*s <= x, and phi(N): built once
+    per context, so a sweep over every odd n <= x stays linear in x."""
     squares = [(1, s * s) for s in range(1, ctx.floor_sqrt_x + 1)]
-    return Fraction(ramanujan.shift_sums(ctx, squares)(n), arith.euler_phi(ctx.N))
+    return ramanujan.shift_sums(ctx, squares), arith.euler_phi(ctx.N)
 
 
 def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadprimes import arith
@@ -122,6 +123,31 @@ def test_prime_power_base_agrees_with_von_mangoldt_at_64_bit_edges():
         assert arith.prime_power_base(n) == (vm.base_prime, vm.exponent), n
 
 
+def test_prime_power_base_small_prime_gcd_rejects():
+    # gcd with the product of the primes below 256 is a single prime, but
+    # a cofactor remains.
+    assert arith.prime_power_base(251 * 257) is None
+    assert arith.prime_power_base(2 * (2**61 - 1)) is None
+    assert arith.prime_power_base(5**20 * 257) is None
+    for k in range(1, 25):
+        # The gcd is 6 or 210, not a prime.
+        assert arith.prime_power_base(6**k) is None, k
+        if 210**k < 2**64:
+            assert arith.prime_power_base(210**k) is None, k
+
+
+def test_prime_power_base_powers_either_side_of_256():
+    # 251 is the largest prime the gcd finds; 257 the smallest the root
+    # probes must find, and 257**7 < 2**64 needs the exponent-7 probe.
+    assert 257**7 < 2**64 < 257**8
+    for k in range(2, 8):
+        assert arith.prime_power_base(251**k) == (251, k), k
+        assert arith.prime_power_base(257**k) == (257, k), k
+        assert arith.prime_power_base(251**k * 257) is None, k
+        assert arith.prime_power_base(257**k * 263) is None, k
+    assert arith.prime_power_base(251**8) == (251, 8)
+
+
 def test_prime_power_base_agrees_with_factorization_sweep():
     for n in range(2, 3000):
         fac = dict(arith.factorize(n).factors)
@@ -136,6 +162,8 @@ def test_integer_root():
     assert arith.integer_root(26, 3) == 2
     assert arith.integer_root(27, 3) == 3
     assert arith.integer_root(10**18, 2) == 10**9
+    assert arith.integer_root(2**128 - 1, 2) == 2**64 - 1
+    assert arith.integer_root(2**128, 2) == 2**64
     big = 10**30
     assert arith.integer_root(big**5 - 1, 5) == big - 1
     for n in range(1, 200):
@@ -211,3 +239,13 @@ def test_primes_up_to_matches_trial_division():
 def test_iter_primes_matches_list_sieve():
     assert list(arith.iter_primes(7)) == [2, 3, 5, 7]
     assert list(arith.iter_primes(10**5)) == arith.primes_up_to(10**5)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10, 120, 121,
+                                   arith._SEGMENT_SIZE + 1, 3 * arith._SEGMENT_SIZE + 5])
+def test_prime_blocks_partition_the_list_sieve(limit):
+    blocks = list(arith.prime_blocks(limit))
+    assert all(block.dtype == np.int64 for block in blocks)
+    flat = [p for block in blocks for p in block.tolist()]
+    assert flat == arith.primes_up_to(limit)
+    assert list(arith.iter_primes(limit)) == flat

@@ -5,9 +5,10 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from quadprimes import asymptotics, identity
+from quadprimes import arith, asymptotics, identity
 from quadprimes.errors import CapacityError
 
 FIXTURE = Path(__file__).parent / "data" / "a002496_prefix.txt"
@@ -165,6 +166,99 @@ def test_euler_product_trace_shape():
     assert report.trace[-1][1] == report.estimate
 
 
+def _scalar_euler_products(spec, cutoff):
+    """Both variants' (estimate, trace), one arith.jacobi call and one
+    multiplication per odd prime: the prime-by-prime loop the block route
+    must reproduce bit for bit."""
+    out = {}
+    for variant in ("hl", "paper"):
+        product = float(asymptotics.epsilon_factor(spec.q)) if variant == "paper" else 1.0
+        trace = []
+        marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
+        last_prime = 0
+        for p in arith.iter_primes(cutoff):
+            if p == 2:
+                continue
+            while marks and p > marks[0]:
+                trace.append((last_prime, product))
+                marks.pop(0)
+            if spec.q % p == 0:
+                factor = p / (p - 1)
+            else:
+                chi = arith.jacobi((-spec.a * spec.q) % p, p)
+                factor = 1.0 - chi / p if variant == "paper" else 1.0 - chi / (p - 1)
+            product *= factor
+            last_prime = p
+        if not trace or trace[-1][0] != last_prime:
+            trace.append((last_prime, product))
+        out[variant] = (product, trace)
+    return out
+
+
+def _bits(estimate, trace):
+    return estimate.hex(), [(p, value.hex()) for p, value in trace]
+
+
+EULER_SPECS = [(1, 1), (4, 1), (2, 1), (3, 2), (15, 2), (30, 7)] + [
+    (q, a) for q in (1, 6) for a in (0, -1, -3, 10**29 + 1)
+]
+
+
+@pytest.mark.parametrize("cutoff", [3, 10, 11, 97, 100, 10**4 + 7,
+                                    arith._SEGMENT_SIZE - 1, arith._SEGMENT_SIZE + 1])
+def test_euler_product_blocks_match_scalar_loop_bitwise(cutoff):
+    for q, a in EULER_SPECS:
+        spec = identity.check_admissible(q, a)
+        expected = _scalar_euler_products(spec, cutoff)
+        for variant in ("hl", "paper"):
+            report = asymptotics.bateman_horn_constant(spec, cutoff, variant)
+            assert _bits(report.estimate, report.trace) == _bits(*expected[variant]), (
+                q, a, variant)
+
+
+def test_euler_product_carries_the_product_across_segments():
+    spec = identity.check_admissible(1, 1)
+    cutoff = 3 * arith._SEGMENT_SIZE
+    assert sum(1 for _ in arith.prime_blocks(cutoff)) == 4
+    expected = _scalar_euler_products(spec, cutoff)
+    for variant in ("hl", "paper"):
+        report = asymptotics.bateman_horn_constant(spec, cutoff, variant)
+        assert _bits(report.estimate, report.trace) == _bits(*expected[variant]), variant
+
+
+def test_residues_and_characters_are_exact_for_unbounded_integers():
+    primes = np.array(arith.primes_up_to(2000)[1:], dtype=np.int64)
+    for m in (0, 1, -1, -4, 10**29 + 1, -(10**29 + 1), -(3**90), 2**200 + 7):
+        residues = asymptotics._residues(m, primes)
+        assert residues.tolist() == [m % p for p in primes.tolist()], m
+        characters = asymptotics._characters(m, primes)
+        assert characters.tolist() == [arith.jacobi(m % p, p) for p in primes.tolist()], m
+
+
+def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
+    real_characters = asymptotics._characters
+    spec = identity.check_admissible(1, 1)
+
+    def flipped(m, primes):
+        return -real_characters(m, primes)
+
+    monkeypatch.setattr(asymptotics, "_characters", flipped)
+    with pytest.raises(ArithmeticError, match=r"^factor 0\.5 on wrong side of 1 at p=3$"):
+        asymptotics.bateman_horn_constant(spec, 100, "hl")
+    # A flip only past 1000 is caught in a later sieve block, at p = 1009.
+    def flipped_late(m, primes):
+        chi = real_characters(m, primes)
+        return np.where(primes > 1000, -chi, chi)
+
+    monkeypatch.setattr(asymptotics, "_characters", flipped_late)
+    message = f"factor {1.0 + 1 / 1008} on wrong side of 1 at p=1009"
+    with pytest.raises(ArithmeticError) as caught:
+        asymptotics.bateman_horn_constant(spec, 10**4, "hl")
+    assert str(caught.value) == message
+    # The guard is for t^2 + 1 under the hl convention only.
+    asymptotics.bateman_horn_constant(spec, 10**4, "paper")
+
+
 def test_euler_product_rejects_bad_cutoff():
     spec = identity.check_admissible(1, 1)
     with pytest.raises(ValueError):
@@ -191,6 +285,20 @@ def test_compare_asymptotic_geometric_spacing():
     for row in rows:
         assert row.conjectured > 0
         assert row.ratio == pytest.approx(row.psi2 / row.conjectured, rel=1e-15)
+
+
+@pytest.mark.parametrize("x_max, steps", [(100, 8), (50, 20), (10**4, 3), (10**6, 8), (10**7, 1)])
+def test_compare_rows_equal_psi2_count_bitwise(x_max, steps):
+    # Small x_max with many steps makes consecutive rows share isqrt(x).
+    for q, a in ((4, 1), (2, 1), (3, 2), (8, 3)):
+        spec = _spec(q, a)
+        rows = asymptotics.compare_asymptotic(spec, x_max, steps, cutoff=100)
+        assert rows[-1].x == x_max
+        for row in rows:
+            assert row.psi2.hex() == asymptotics.psi2_count(spec, row.x).psi_value.hex(), (
+                q, a, row.x)
+    roots = [math.isqrt(row.x) for row in asymptotics.compare_asymptotic(_spec(4, 1), 100, 8)]
+    assert len(set(roots)) < len(roots)
 
 
 def test_compare_asymptotic_validation():

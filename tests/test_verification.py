@@ -1,9 +1,13 @@
 """Suite-level behavior: counts, counterexample inventories, report shape."""
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
-from quadprimes import ramanujan, verification
+from quadprimes import indicator, ramanujan, verification
 from quadprimes.errors import CapacityError
 
 # Failing parity cases per x, established by exhaustive independent runs:
@@ -108,3 +112,30 @@ def test_error_term_suite_single_config():
     report = verification.verify_error_term([(3, 2, 36)])
     assert report.cases_run == 2
     assert report.all_passed
+
+
+def test_char_suite_builds_one_kernel_at_4e4(monkeypatch):
+    # Every odd square n <= x measures p/(p-1), the derivation of acceptance
+    # criterion 3; every other odd n passes.  The squares' shift-sum kernel
+    # is built once for the whole sweep, not once per n.
+    x = 4 * 10**4
+    p = next(k for k in itertools.count(x + 1)
+             if all(k % d for d in range(2, math.isqrt(k) + 1)))
+    expected = tuple(
+        verification.Counterexample(inputs={"x": x, "p": p, "n": s * s},
+                                    expected="0 or 1", actual=Fraction(p, p - 1))
+        for s in range(1, math.isqrt(x) + 1, 2)
+    )
+    built = []
+    real_shift_sums = ramanujan.shift_sums
+
+    def counting_shift_sums(ctx, points):
+        built.append(ctx)
+        return real_shift_sums(ctx, points)
+
+    monkeypatch.setattr(ramanujan, "shift_sums", counting_shift_sums)
+    indicator._square_kernel.cache_clear()
+    report = verification.verify_char(x)
+    indicator._square_kernel.cache_clear()
+    assert report == verification.VerificationReport("char", x // 2, x // 2 - 100, expected)
+    assert len(built) == 1
