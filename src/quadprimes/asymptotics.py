@@ -20,7 +20,7 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError
-from .identity import PolynomialSpec, _guard_range, _require_admissible
+from .poly import PolynomialSpec, require_admissible, require_range
 
 DEFAULT_EULER_CUTOFF = 10**6
 EULER_CUTOFF_MAX = 10**8
@@ -84,10 +84,7 @@ def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> Coun
     Uses primality testing plus perfect-power detection per value; this is
     the scale path, independent of the factorization-backed identity path.
     """
-    _require_admissible(spec)
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    _guard_range(spec, x)
+    require_admissible(spec, x)
     n_max = math.isqrt(x)
     hits: list[tuple[int, int, int, int]] = []
     log_terms: list[float] = []
@@ -114,11 +111,7 @@ def linear_psi_odd(spec: PolynomialSpec, X: int) -> tuple[float, float]:
     Returns (value, reference) where reference = (q / (2 phi(q))) * X, the
     progression-density comparison line.
     """
-    _require_admissible(spec)
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    if spec.q * X + spec.a > arith.U64_MAX:
-        raise OverflowError("q*X + a exceeds 64-bit range")
+    require_admissible(spec, X, "X")
     value = math.fsum(
         arith.von_mangoldt(spec.q * n + spec.a).log_weight for n in range(1, X + 1, 2)
     )
@@ -133,10 +126,7 @@ def count_primes_poly(spec: PolynomialSpec, n_max: int) -> CountResult:
     family like t^2 + 1 is meaningful even though the parity hypothesis of
     the quadratic-to-linear machinery excludes q = 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if spec.q * n_max * n_max + spec.a > arith.U64_MAX:
-        raise OverflowError("q*n_max^2 + a exceeds 64-bit range")
+    require_range(spec, n_max, "n_max", n_max * n_max)
     hits: list[tuple[int, int, int, int]] = []
     log_terms: list[float] = []
     for n in range(1, n_max + 1):
@@ -220,8 +210,6 @@ def bateman_horn_constant(
         raise CapacityError(f"cutoff capped at {EULER_CUTOFF_MAX}")
     if variant not in ("paper", "hl"):
         raise ValueError(f"unknown variant {variant!r}")
-    if spec.q < 1:
-        raise ValueError("q must be >= 1")
 
     epsilon = epsilon_factor(spec.q)
     character_of_one = spec.q == 1 and spec.a == 1
@@ -286,12 +274,9 @@ def compare_asymptotic(
     n up to sqrt(x_max) are scanned once; each row's psi2 is the fsum of
     its prefix of log terms, the same terms psi2_count(spec, x) sums.
     """
-    _require_admissible(spec)
+    require_admissible(spec, x_max, "x_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    _guard_range(spec, x_max)
 
     constant = bateman_horn_constant(spec, cutoff, "hl").estimate
     xs: list[int] = []

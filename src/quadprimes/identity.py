@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import arith, ramanujan
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
-from .indicator import _require_even_parity
+from .poly import PolynomialSpec, check_admissible, require_admissible  # noqa: F401 (re-export)
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
@@ -34,45 +33,7 @@ FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
 # Terms per block of the float route, so no block grows with N.
 _FLOAT_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """Admissibility record for f(t) = q t^2 + a.
-
-    Attributes:
-        q: leading coefficient, q >= 1.
-        a: constant term.
-        admissible: coprime_ok and parity_ok and fixed_divisor == 1.
-        parity_ok: q + a is odd, so f(odd) is odd.
-        coprime_ok: gcd(a, q) == 1.
-        fixed_divisor: gcd(f(0), f(1), f(2)), the fixed divisor of f over Z.
-    """
-
-    q: int
-    a: int
-    admissible: bool
-    parity_ok: bool
-    coprime_ok: bool
-    fixed_divisor: int
-
-    def value_at(self, n: int) -> int:
-        return self.q * n * n + self.a
-
-
-def check_admissible(q: int, a: int) -> PolynomialSpec:
-    """Populate every admissibility flag for f(t) = q t^2 + a.
-
-    Inadmissible pairs come back flagged, never rejected: negative results
-    are data.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    coprime_ok = math.gcd(a, q) == 1
-    parity_ok = (q + a) % 2 == 1
-    fixed_divisor = math.gcd(a, q + a, 4 * q + a)
-    admissible = coprime_ok and parity_ok and fixed_divisor == 1
-    return PolynomialSpec(q, a, admissible, parity_ok, coprime_ok, fixed_divisor)
+_NO_WEIGHT = arith.VonMangoldtValue(False, None, None, 0.0)
 
 
 def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.ModulusContext:
@@ -97,25 +58,6 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
     return ramanujan.ModulusContext(x=x, p=p)
 
 
-def _require_admissible(spec: PolynomialSpec) -> None:
-    if spec.admissible:
-        return
-    reasons = []
-    if not spec.coprime_ok:
-        reasons.append(f"gcd(a={spec.a}, q={spec.q}) > 1")
-    if not spec.parity_ok:
-        reasons.append(f"q + a = {spec.q + spec.a} is even")
-    if spec.fixed_divisor != 1:
-        reasons.append(f"fixed divisor {spec.fixed_divisor}")
-    raise ValueError(f"(q={spec.q}, a={spec.a}) is not admissible: " + "; ".join(reasons))
-
-
-def _guard_range(spec: PolynomialSpec, x: int) -> None:
-    # Both sides evaluate Lambda at arguments bounded by q*x + a.
-    if spec.q * x + spec.a > arith.U64_MAX:
-        raise OverflowError(f"q*x + a = {spec.q * x + spec.a} exceeds 64-bit range")
-
-
 def lhs_quadratic_psi(
     spec: PolynomialSpec, x: int
 ) -> tuple[float, tuple[tuple[int, arith.VonMangoldtValue], ...]]:
@@ -124,12 +66,10 @@ def lhs_quadratic_psi(
     Records keep every odd n in range, including the zero-weight ones, so a
     report can show which terms failed to contribute and why.
     """
-    _require_admissible(spec)
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    _guard_range(spec, x)
+    require_admissible(spec, x)
+    # Where q + a < 1, f(n) < 1 at small n: no prime power, as in psi2_count.
     records = tuple(
-        (n, arith.von_mangoldt(spec.value_at(n)))
+        (n, arith.von_mangoldt(f) if (f := spec.value_at(n)) >= 1 else _NO_WEIGHT)
         for n in range(1, math.isqrt(x) + 1, 2)
     )
     value = math.fsum(vm.log_weight for _, vm in records)
@@ -137,11 +77,10 @@ def lhs_quadratic_psi(
 
 
 def _checked_phi(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> int:
-    # Every expansion needs an admissible f, an even floor(sqrt(x)) and
-    # 64-bit arguments, checked in that order; phi(N) is its denominator.
-    _require_admissible(spec)
-    _require_even_parity(ctx)
-    _guard_range(spec, ctx.x)
+    # Every expansion needs an admissible f, 64-bit arguments and an even
+    # floor(sqrt(x)), checked in that order; phi(N) is its denominator.
+    require_admissible(spec, ctx.x)
+    ctx.require_even_floor_sqrt()
     return arith.euler_phi(ctx.N)
 
 

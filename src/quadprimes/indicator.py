@@ -35,31 +35,14 @@ class SquareVerdict:
     method: str
 
 
-def nearest_even_parity_x(x: int) -> int:
-    """Largest x' <= x whose floor square root is even."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    r = math.isqrt(x)
-    return x if r % 2 == 0 else r * r - 1
-
-
-def _require_even_parity(ctx: ramanujan.ModulusContext) -> None:
-    if ctx.floor_sqrt_x % 2:
-        raise ValueError(
-            f"floor(sqrt(x)) is odd for x={ctx.x}; "
-            f"nearest valid x is {nearest_even_parity_x(ctx.x)}"
-        )
-
-
 def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     """Exact rational value of the exponential-sum expression at odd n <= x.
 
     This is the measurement behind square_char_exp, exposed separately so
     out-of-range values can be inspected rather than only raised.
     """
-    _require_even_parity(ctx)
-    if n % 2 == 0 or not 1 <= n <= ctx.x:
-        raise ValueError(f"n={n} must be odd and within 1..{ctx.x}")
+    ctx.require_even_floor_sqrt()
+    ctx.require_odd_n(n)
     shift_sum, phi = _square_kernel(ctx)
     return Fraction(shift_sum(n), phi)
 

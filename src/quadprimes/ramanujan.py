@@ -71,6 +71,25 @@ class ModulusContext:
         """Integer square root of x."""
         return math.isqrt(self.x)
 
+    def require_even_floor_sqrt(self) -> None:
+        """Raise unless floor(sqrt(x)) is even, naming the nearest x that is."""
+        if self.floor_sqrt_x % 2:
+            raise ValueError(f"floor(sqrt(x)) is odd for x={self.x}; "
+                             f"nearest valid x is {nearest_even_parity_x(self.x)}")
+
+    def require_odd_n(self, n: int) -> None:
+        """Raise unless n is odd and 1 <= n <= x."""
+        if n % 2 == 0 or not 1 <= n <= self.x:
+            raise ValueError(f"n={n} must be odd and within 1..{self.x}")
+
+
+def nearest_even_parity_x(x: int) -> int:
+    """Largest x' <= x whose floor square root is even."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    r = math.isqrt(x)
+    return x if r % 2 == 0 else r * r - 1
+
 
 @dataclass(frozen=True)
 class RamanujanEvaluation:
@@ -209,8 +228,7 @@ def _parity_shift(ctx: ModulusContext, s: int, n: int, mode: str) -> int:
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= s <= ctx.floor_sqrt_x:
         raise ValueError(f"s={s} outside 1..{ctx.floor_sqrt_x}")
-    if n % 2 == 0 or not 1 <= n <= ctx.x:
-        raise ValueError(f"n={n} must be odd and within 1..{ctx.x}")
+    ctx.require_odd_n(n)
     return s - n if mode == "linear" else s * s - n
 
 

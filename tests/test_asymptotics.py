@@ -70,6 +70,18 @@ def test_psi2_equals_identity_lhs_shared_grid():
             assert psi == pytest.approx(lhs, rel=1e-12), (q, a, x)
 
 
+@pytest.mark.parametrize("q, a", [(1, -2), (2, -5), (1, -6), (4, -3), (2, -1)])
+def test_psi2_equals_identity_lhs_where_f_dips_below_one(q, a):
+    # With q + a < 1 some f(n) < 1: both routes give those n no weight.
+    spec = _spec(q, a)
+    assert spec.admissible
+    for x in (10**2, 10**4, 10**6):
+        lhs, records = identity.lhs_quadratic_psi(spec, x)
+        assert lhs.hex() == asymptotics.psi2_count(spec, x).psi_value.hex(), (q, a, x)
+        assert all(vm.log_weight == 0.0 for n, vm in records if spec.value_at(n) < 2)
+    assert identity.lhs_quadratic_psi(_spec(1, -2), 10**4)[0] == 170.31687017970205
+
+
 def test_linear_psi_odd_frozen():
     value, reference = asymptotics.linear_psi_odd(_spec(3, 2), 6)
     assert value == pytest.approx(math.log(5) + math.log(11) + math.log(17), rel=1e-15)

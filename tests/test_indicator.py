@@ -6,20 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from quadprimes import arith, indicator
+from quadprimes import arith, indicator, ramanujan
 from quadprimes.errors import LemmaCounterexample
 from quadprimes.identity import make_context
 
 
 def test_nearest_even_parity_x():
-    assert indicator.nearest_even_parity_x(16) == 16
-    assert indicator.nearest_even_parity_x(9) == 8
-    assert indicator.nearest_even_parity_x(25) == 24
-    assert indicator.nearest_even_parity_x(35) == 24
-    assert indicator.nearest_even_parity_x(100) == 100
-    assert indicator.nearest_even_parity_x(1) == 0
+    assert ramanujan.nearest_even_parity_x(16) == 16
+    assert ramanujan.nearest_even_parity_x(9) == 8
+    assert ramanujan.nearest_even_parity_x(25) == 24
+    assert ramanujan.nearest_even_parity_x(35) == 24
+    assert ramanujan.nearest_even_parity_x(100) == 100
+    assert ramanujan.nearest_even_parity_x(1) == 0
     with pytest.raises(ValueError):
-        indicator.nearest_even_parity_x(0)
+        ramanujan.nearest_even_parity_x(0)
 
 
 def test_exp_value_frozen_rationals_minimal_context():
