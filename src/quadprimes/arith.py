@@ -4,7 +4,7 @@ Key functions:
     factorize(n): complete prime factorization (trial division + Pollard rho)
     is_prime(n): deterministic Miller-Rabin, exact for n < 2**64
     mobius(n), euler_phi(n), liouville(n): multiplicative functions
-    von_mangoldt(n): structured prime-power weight (base, exponent, ln base)
+    von_mangoldt(n): Lambda(n) = ln p when n = p**k, else 0.0
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
@@ -18,7 +18,6 @@ basis (its witness set is proven well past 2**64).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from typing import Iterator, Optional
@@ -71,46 +70,6 @@ _MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (2**64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
-
-
-# --------------------------------------------------------------------------- #
-# domain types
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as an ordered tuple of (prime, exponent) pairs.
-
-    Attributes:
-        factors: pairs with strictly increasing primes; empty only for n = 1.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        """Reconstruct the factored integer."""
-        n = 1
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-
-@dataclass(frozen=True)
-class VonMangoldtValue:
-    """Structured value of the von Mangoldt function.
-
-    Attributes:
-        is_prime_power: whether n = p**k for a prime p and k >= 1.
-        base_prime: p when is_prime_power, else None.
-        exponent: k when is_prime_power, else None.
-        log_weight: ln(p) when is_prime_power, else 0.0.
-    """
-
-    is_prime_power: bool
-    base_prime: Optional[int]
-    exponent: Optional[int]
-    log_weight: float
 
 
 # --------------------------------------------------------------------------- #
@@ -169,8 +128,6 @@ def next_prime_above(x: int) -> int:
     if x < 2:
         return 2
     candidate = x + 1 if x % 2 == 0 else x + 2
-    if x == 2:
-        return 3
     while not is_prime(candidate):
         candidate += 2
     return candidate
@@ -263,14 +220,14 @@ def _factorize_raw(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of n.
 
     Args:
         n: integer with 1 <= n <= 2**64 - 1.
 
     Returns:
-        Factorization with primes strictly increasing; empty for n = 1.
+        (prime, exponent) pairs with primes strictly increasing; empty for n = 1.
 
     Raises:
         ValueError: if n is 0, negative, or beyond the 64-bit range.
@@ -279,7 +236,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n >= 1")
     if n > U64_MAX:
         raise ValueError("factorize supports the 64-bit range only")
-    return Factorization(_factorize_raw(n))
+    return _factorize_raw(n)
 
 
 def prime_power_base(n: int) -> Optional[tuple[int, int]]:
@@ -377,22 +334,12 @@ def liouville(n: int) -> int:
     return -1 if omega % 2 else 1
 
 
-def von_mangoldt(n: int) -> VonMangoldtValue:
-    """von Mangoldt function as a structured value.
-
-    Args:
-        n: positive integer.
-
-    Returns:
-        VonMangoldtValue with log_weight = ln(p) when n = p**k, else 0.
-    """
+def von_mangoldt(n: int) -> float:
+    """von Mangoldt function: ln(p) when n = p**k for a prime p, else 0.0."""
     if n < 1:
         raise ValueError("von_mangoldt requires n >= 1")
     factors = _factorize_raw(n)
-    if len(factors) == 1:
-        p, e = factors[0]
-        return VonMangoldtValue(True, p, e, math.log(p))
-    return VonMangoldtValue(False, None, None, 0.0)
+    return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 
 def jacobi(a: int, n: int) -> int:

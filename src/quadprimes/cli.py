@@ -121,9 +121,9 @@ def _comparison_csv(rows: list[asymptotics.ComparisonRow]) -> str:
 def _cmd_ramanujan(args: argparse.Namespace) -> int:
     methods: dict[str, int] = {}
     if args.q <= ramanujan.DIRECT_Q_CAP:
-        methods["direct"] = ramanujan.ramanujan_direct(args.q, args.m).value
-    methods["closed"] = ramanujan.ramanujan_closed(args.q, args.m).value
-    methods["divisor"] = ramanujan.ramanujan_divisor(args.q, args.m).value
+        methods["direct"] = ramanujan.ramanujan_direct(args.q, args.m)
+    methods["closed"] = ramanujan.ramanujan_closed(args.q, args.m)
+    methods["divisor"] = ramanujan.ramanujan_divisor(args.q, args.m)
     agree = len(set(methods.values())) == 1
     payload = {
         "command": "ramanujan",

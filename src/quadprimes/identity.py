@@ -24,7 +24,8 @@ import numpy as np
 
 from . import arith, ramanujan
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
-from .poly import PolynomialSpec, check_admissible, require_admissible  # noqa: F401 (re-export)
+from .poly import PolynomialSpec, check_admissible  # noqa: F401 (re-export)
+from .poly import lambda_weight, require_admissible
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
@@ -33,7 +34,6 @@ FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
 # Terms per block of the float route, so no block grows with N.
 _FLOAT_BLOCK = 1 << 16
-_NO_WEIGHT = arith.VonMangoldtValue(False, None, None, 0.0)
 
 
 def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.ModulusContext:
@@ -58,21 +58,18 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
     return ramanujan.ModulusContext(x=x, p=p)
 
 
-def lhs_quadratic_psi(
-    spec: PolynomialSpec, x: int
-) -> tuple[float, tuple[tuple[int, arith.VonMangoldtValue], ...]]:
+def lhs_quadratic_psi(spec: PolynomialSpec, x: int) -> tuple[float, tuple[tuple[int, float], ...]]:
     """Lambda-weighted sum over q n^2 + a for odd n <= sqrt(x), with records.
 
-    Records keep every odd n in range, including the zero-weight ones, so a
-    report can show which terms failed to contribute and why.
+    Records are the (n, Lambda(q n^2 + a)) pairs of every odd n in range,
+    including the zero-weight ones, so a report can show which terms failed
+    to contribute.
     """
     require_admissible(spec, x)
-    # Where q + a < 1, f(n) < 1 at small n: no prime power, as in psi2_count.
     records = tuple(
-        (n, arith.von_mangoldt(f) if (f := spec.value_at(n)) >= 1 else _NO_WEIGHT)
-        for n in range(1, math.isqrt(x) + 1, 2)
+        (n, lambda_weight(spec.value_at(n))) for n in range(1, math.isqrt(x) + 1, 2)
     )
-    value = math.fsum(vm.log_weight for _, vm in records)
+    value = math.fsum(lw for _, lw in records)
     return value, records
 
 
@@ -91,7 +88,7 @@ def _shift_coefficients(
     # n <= x with nonzero weight.
     shift_sum = ramanujan.shift_sums(ctx, points)
     for n in range(1, ctx.x + 1, 2):
-        lw = arith.von_mangoldt(spec.q * n + spec.a).log_weight
+        lw = lambda_weight(spec.q * n + spec.a)
         if lw != 0.0:
             yield n, lw, shift_sum(n)
 
@@ -209,7 +206,7 @@ def error_term_decomposition(
     pairs = dyadic_pairs(ctx.floor_sqrt_x)
 
     e0_terms = [
-        arith.liouville(d) * arith.von_mangoldt(spec.q * dm + spec.a).log_weight
+        arith.liouville(d) * lambda_weight(spec.q * dm + spec.a)
         for d, _, dm in pairs
         if dm % 2 == 1
     ]

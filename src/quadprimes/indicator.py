@@ -16,23 +16,12 @@ measured rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from . import arith, ramanujan
 from .errors import LemmaCounterexample
-
-
-@dataclass(frozen=True)
-class SquareVerdict:
-    """Square / not-square answer with the method that produced it."""
-
-    n: int
-    is_square: bool
-    root: Optional[int]
-    method: str
 
 
 def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
@@ -55,7 +44,7 @@ def _square_kernel(ctx: ramanujan.ModulusContext) -> tuple[Callable[[int], int],
     return ramanujan.shift_sums(ctx, squares), arith.euler_phi(ctx.N)
 
 
-def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
+def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> bool:
     """Square indicator via the exponential sum at modulus N = 2p.
 
     Requires even floor(sqrt(x)) and odd n <= x.  The expression must come
@@ -63,10 +52,8 @@ def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
     measured rational attached.
     """
     value = square_char_exp_value(ctx, n)
-    if value == 0:
-        return SquareVerdict(n, False, None, "exp_sum")
-    if value == 1:
-        return SquareVerdict(n, True, math.isqrt(n), "exp_sum")
+    if value in (0, 1):
+        return value == 1
     raise LemmaCounterexample(
         "square-indicator-value",
         {"x": ctx.x, "p": ctx.p, "n": n},
@@ -75,7 +62,7 @@ def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> SquareVerdict:
     )
 
 
-def square_char_liouville(n: int) -> SquareVerdict:
+def square_char_liouville(n: int) -> bool:
     """Square indicator via exponent parities of the factorization.
 
     Equivalent to the divisor sum of the Liouville function: the sum is 1 on
@@ -84,16 +71,11 @@ def square_char_liouville(n: int) -> SquareVerdict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if all(e % 2 == 0 for _, e in arith.factorize(n).factors):
-        return SquareVerdict(n, True, math.isqrt(n), "liouville")
-    return SquareVerdict(n, False, None, "liouville")
+    return all(e % 2 == 0 for _, e in arith.factorize(n))
 
 
-def square_char_isqrt(n: int) -> SquareVerdict:
+def square_char_isqrt(n: int) -> bool:
     """Square indicator via the integer square root (ground truth)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = math.isqrt(n)
-    if r * r == n:
-        return SquareVerdict(n, True, r, "isqrt")
-    return SquareVerdict(n, False, None, "isqrt")
+    return math.isqrt(n) ** 2 == n

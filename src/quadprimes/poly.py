@@ -1,4 +1,5 @@
-"""The polynomial f(t) = q t^2 + a: its admissibility record and guards.
+"""The polynomial f(t) = q t^2 + a: its admissibility record, guards and
+Lambda weight.
 
 The identity and scale paths both check a PolynomialSpec here, so neither
 imports the other.
@@ -8,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import U64_MAX
+from . import arith
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def require_range(spec: PolynomialSpec, bound: int, name: str, t: int | None = N
         raise ValueError(f"{name} must be >= 1")
     t = bound if t is None else t
     top = spec.q * t + spec.a
-    if top > U64_MAX:
+    if top > arith.U64_MAX:
         raise OverflowError(f"q*t + a = {top} exceeds 64-bit range at t = {t}")
 
 
@@ -74,3 +75,9 @@ def require_admissible(spec: PolynomialSpec, bound: int, name: str = "x") -> Non
             reasons.append(f"fixed divisor {spec.fixed_divisor}")
         raise ValueError(f"(q={spec.q}, a={spec.a}) is not admissible: " + "; ".join(reasons))
     require_range(spec, bound, name)
+
+
+def lambda_weight(value: int) -> float:
+    """Lambda(value), and 0.0 below 1: where q + a < 1 an admissible f(t) or
+    q t + a dips below 1 at small t, and no prime power is there."""
+    return arith.von_mangoldt(value) if value >= 1 else 0.0

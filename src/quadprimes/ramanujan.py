@@ -91,16 +91,6 @@ def nearest_even_parity_x(x: int) -> int:
     return x if r % 2 == 0 else r * r - 1
 
 
-@dataclass(frozen=True)
-class RamanujanEvaluation:
-    """One evaluation of c_q(m), tagged with the method that produced it."""
-
-    q: int
-    m: int
-    value: int
-    method: str
-
-
 @lru_cache(maxsize=4)
 def _unit_roots(q: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / q) for k in range(q))
@@ -125,7 +115,7 @@ def _direct_total(q: int, r: int) -> complex:
     return total
 
 
-def ramanujan_direct(q: int, m: int) -> RamanujanEvaluation:
+def ramanujan_direct(q: int, m: int) -> int:
     """c_q(m) by literal complex summation.
 
     Args:
@@ -133,7 +123,7 @@ def ramanujan_direct(q: int, m: int) -> RamanujanEvaluation:
         m: any integer.
 
     Returns:
-        RamanujanEvaluation with the rounded integer value.
+        The rounded integer value.
 
     Raises:
         CapacityError: q beyond the float-path cap.
@@ -148,17 +138,17 @@ def ramanujan_direct(q: int, m: int) -> RamanujanEvaluation:
     residual = max(abs(total.imag), abs(total.real - value))
     if residual >= 1e-6:
         raise PrecisionError(f"c_{q}({m}) residual {residual:.3e} >= 1e-6")
-    return RamanujanEvaluation(q, m, value, "direct")
+    return value
 
 
-def ramanujan_closed(q: int, m: int) -> RamanujanEvaluation:
+def ramanujan_closed(q: int, m: int) -> int:
     """c_q(m) by the closed form mu(q/d) * phi(q) / phi(q/d), d = gcd(|m|, q).
 
     Exact integer arithmetic; gcd(0, q) = q so that c_q(0) = phi(q).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    return RamanujanEvaluation(q, m, _closed_value(q, math.gcd(abs(m), q)), "closed")
+    return _closed_value(q, math.gcd(abs(m), q))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -193,7 +183,7 @@ def shift_sums(ctx: ModulusContext, points: Iterable[tuple[int, int]]) -> Callab
             raise ValueError(f"t={t} outside 1..{ctx.x}")
         class_weight[t % 2] += w
         diagonal[t] = diagonal.get(t, 0) + w
-    c0, c1, c2 = (ramanujan_closed(ctx.N, m).value for m in (0, 1, 2))
+    c0, c1, c2 = (ramanujan_closed(ctx.N, m) for m in (0, 1, 2))
 
     def shift_sum(n: int) -> int:
         if not 1 <= n <= ctx.x:
@@ -204,23 +194,23 @@ def shift_sums(ctx: ModulusContext, points: Iterable[tuple[int, int]]) -> Callab
     return shift_sum
 
 
-def _divisors_ascending(n: int) -> list[int]:
+def _divisors(n: int) -> list[int]:
     divs = [1]
-    for p, e in arith.factorize(n).factors:
+    for p, e in arith.factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return divs
 
 
-def ramanujan_divisor(q: int, m: int) -> RamanujanEvaluation:
+def ramanujan_divisor(q: int, m: int) -> int:
     """c_q(m) by the divisor sum of mu(q/d) * d over d | gcd(|m|, q)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return RamanujanEvaluation(q, m, _divisor_value(q, math.gcd(abs(m), q)), "divisor")
+    return _divisor_value(q, math.gcd(abs(m), q))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _divisor_value(q: int, g: int) -> int:
-    return sum(arith.mobius(q // d) * d for d in _divisors_ascending(g))
+    return sum(arith.mobius(q // d) * d for d in _divisors(g))
 
 
 def _parity_shift(ctx: ModulusContext, s: int, n: int, mode: str) -> int:
@@ -251,7 +241,7 @@ def parity_value(ctx: ModulusContext, s: int, n: int, mode: ParityMode) -> int:
     shift = _parity_shift(ctx, s, n, mode)
     if shift == 0:
         raise ValueError(f"{mode} mode requires a nonzero shift (s={s}, n={n})")
-    value = ramanujan_closed(ctx.N, shift).value
+    value = ramanujan_closed(ctx.N, shift)
     predicted = -1 if s % 2 else 1
     if value != predicted:
         raise LemmaCounterexample(

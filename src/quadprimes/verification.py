@@ -76,9 +76,9 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for q in range(1, q_max + 1):
             for m in range(-m_max, m_max + 1):
-                closed = ramanujan.ramanujan_closed(q, m).value
-                divisor = ramanujan.ramanujan_divisor(q, m).value
-                direct = ramanujan.ramanujan_direct(q, m).value
+                closed = ramanujan.ramanujan_closed(q, m)
+                divisor = ramanujan.ramanujan_divisor(q, m)
+                direct = ramanujan.ramanujan_direct(q, m)
                 yield None if closed == divisor == direct else Counterexample(
                     inputs={"q": q, "m": m},
                     expected="direct = closed = divisor",
@@ -110,10 +110,10 @@ def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> Verification
             except LemmaCounterexample as exc:
                 yield _row(exc)
                 continue
-            yield None if verdict.is_square == reference.is_square else Counterexample(
+            yield None if verdict == reference else Counterexample(
                 inputs={"x": x, "p": ctx.p, "n": n},
-                expected=reference.is_square,
-                actual=verdict.is_square,
+                expected=reference,
+                actual=verdict,
             )
 
     return _tally("char", outcomes())
@@ -128,10 +128,8 @@ def verify_liouville(limit: int = 10**5) -> VerificationReport:
         for n in range(1, limit + 1):
             reference = indicator.square_char_isqrt(n)
             verdict = indicator.square_char_liouville(n)
-            yield None if verdict.is_square == reference.is_square else Counterexample(
-                inputs={"n": n},
-                expected=reference.is_square,
-                actual=verdict.is_square,
+            yield None if verdict == reference else Counterexample(
+                inputs={"n": n}, expected=reference, actual=verdict,
             )
 
     return _tally("liouville", outcomes())

@@ -73,9 +73,9 @@ def test_next_prime_above():
 def test_factorize_round_trips_small_range():
     for n in range(1, 1500):
         fac = arith.factorize(n)
-        assert dict(fac.factors) == _factor_slow(n), n
-        assert fac.value == n
-        assert [p for p, _ in fac.factors] == sorted(p for p, _ in fac.factors)
+        assert dict(fac) == _factor_slow(n), n
+        assert math.prod(p**e for p, e in fac) == n
+        assert [p for p, _ in fac] == sorted(p for p, _ in fac)
 
 
 def test_factorize_random_64_bit_products():
@@ -84,20 +84,18 @@ def test_factorize_random_64_bit_products():
         parts = [rng.randrange(2, 2**31) for _ in range(2)]
         n = parts[0] * parts[1]
         fac = arith.factorize(n)
-        assert fac.value == n
-        assert all(arith.is_prime(p) for p, _ in fac.factors)
+        assert math.prod(p**e for p, e in fac) == n
+        assert all(arith.is_prime(p) for p, _ in fac)
 
 
 def test_factorize_semiprime_with_large_factors():
     p, q = 2147483647, 2147483629  # both prime, product near 2**62
-    fac = arith.factorize(p * q)
-    assert dict(fac.factors) == {q: 1, p: 1}
+    assert arith.factorize(p * q) == ((q, 1), (p, 1))
 
 
 def test_factorize_perfect_square_of_prime():
     p = 1000000007
-    fac = arith.factorize(p * p)
-    assert dict(fac.factors) == {p: 1 * 2}
+    assert arith.factorize(p * p) == ((p, 2),)
 
 
 def test_factorize_rejects_out_of_range():
@@ -119,8 +117,9 @@ def test_prime_power_base():
 
 def test_prime_power_base_agrees_with_von_mangoldt_at_64_bit_edges():
     for n in (2**61, 2**62, 2**63, 3**40, 2**61 - 1):
-        vm = arith.von_mangoldt(n)
-        assert arith.prime_power_base(n) == (vm.base_prime, vm.exponent), n
+        ((p, e),) = arith.factorize(n)
+        assert arith.prime_power_base(n) == (p, e), n
+        assert arith.von_mangoldt(n) == math.log(p), n
 
 
 def test_prime_power_base_small_prime_gcd_rejects():
@@ -150,11 +149,8 @@ def test_prime_power_base_powers_either_side_of_256():
 
 def test_prime_power_base_agrees_with_factorization_sweep():
     for n in range(2, 3000):
-        fac = dict(arith.factorize(n).factors)
-        expected = None
-        if len(fac) == 1:
-            ((p, k),) = fac.items()
-            expected = (p, k)
+        fac = arith.factorize(n)
+        expected = fac[0] if len(fac) == 1 else None
         assert arith.prime_power_base(n) == expected, n
 
 
@@ -185,12 +181,11 @@ def test_multiplicative_functions_against_slow_oracle():
 
 
 def test_von_mangoldt_structure():
-    vm = arith.von_mangoldt(8)
-    assert vm.is_prime_power and vm.base_prime == 2 and vm.exponent == 3
-    assert vm.log_weight == math.log(2)
-    assert arith.von_mangoldt(1).log_weight == 0.0
-    assert arith.von_mangoldt(6).is_prime_power is False
-    assert arith.von_mangoldt(97).log_weight == math.log(97)
+    assert arith.von_mangoldt(8) == math.log(2)
+    assert arith.von_mangoldt(1) == 0.0
+    assert arith.von_mangoldt(6) == 0.0
+    assert arith.von_mangoldt(97) == math.log(97)
+    assert all(type(arith.von_mangoldt(n)) is float for n in (1, 6, 8, 97))
     with pytest.raises(ValueError):
         arith.von_mangoldt(0)
 
@@ -200,7 +195,7 @@ def test_chebyshev_psi_partial_sum():
     lcm = 1
     for n in range(2, 101):
         lcm = lcm * n // math.gcd(lcm, n)
-    psi = math.fsum(arith.von_mangoldt(n).log_weight for n in range(1, 101))
+    psi = math.fsum(arith.von_mangoldt(n) for n in range(1, 101))
     assert psi == pytest.approx(math.log(lcm), rel=1e-12)
 
 

@@ -72,14 +72,26 @@ def test_psi2_equals_identity_lhs_shared_grid():
 
 @pytest.mark.parametrize("q, a", [(1, -2), (2, -5), (1, -6), (4, -3), (2, -1)])
 def test_psi2_equals_identity_lhs_where_f_dips_below_one(q, a):
-    # With q + a < 1 some f(n) < 1: both routes give those n no weight.
+    # With q + a < 1 some f(n) < 1, and q n + a < 1 at n = 1: every route
+    # gives those n no weight.
     spec = _spec(q, a)
     assert spec.admissible
     for x in (10**2, 10**4, 10**6):
         lhs, records = identity.lhs_quadratic_psi(spec, x)
         assert lhs.hex() == asymptotics.psi2_count(spec, x).psi_value.hex(), (q, a, x)
-        assert all(vm.log_weight == 0.0 for n, vm in records if spec.value_at(n) < 2)
+        assert all(lw == 0.0 for n, lw in records if spec.value_at(n) < 2)
     assert identity.lhs_quadratic_psi(_spec(1, -2), 10**4)[0] == 170.31687017970205
+    expected = math.fsum(math.log(pp[0]) for n in range(1, 11, 2)
+                         if (pp := arith.prime_power_base(q * n + a)))
+    assert asymptotics.linear_psi_odd(spec, 10)[0] == expected, (q, a)
+    for x in (10**2, 10**4):
+        # The criterion-4 discrepancy: the exact expansion measures
+        # (1 + 1/phi(N)) times the quadratic sum, on these specs as on the grid.
+        ctx = identity.make_context(x)
+        lhs, _ = identity.lhs_quadratic_psi(spec, x)
+        rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx)
+        ratio = 1 + 1 / arith.euler_phi(ctx.N)
+        assert math.isclose(rhs_exact, ratio * lhs, rel_tol=1e-12), (q, a, x)
 
 
 def test_linear_psi_odd_frozen():

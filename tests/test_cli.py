@@ -125,6 +125,15 @@ def test_verify_error_term_passes(capsys):
     assert payload["diagnostics"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("suite, expected_code", [("identity", 1), ("error-term", 0)])
+def test_verify_runs_where_q_plus_a_is_below_one(capsys, suite, expected_code):
+    # (1, -2) is admissible but q n + a = -1 at n = 1: a measured verdict, not exit 2.
+    code, out, err = _run(
+        capsys, ["verify", suite, "--q", "1", "--a", "-2", "--x", "16", "--output", "json"])
+    assert (code, err) == (expected_code, "")
+    assert json.loads(out)["result"]["cases_run"] == 2
+
+
 def test_verify_requires_complete_config(capsys):
     code, out, err = _run(capsys, ["verify", "identity", "--q", "4"])
     assert code == 2

@@ -63,8 +63,8 @@ def test_lhs_frozen_values():
     assert value100 == pytest.approx(15.118680070657573, rel=1e-15)
     by_n = dict(records100)
     # 4 * 81 + 1 = 325 = 5^2 * 13 contributes nothing.
-    assert by_n[9].is_prime_power is False
-    assert by_n[1].base_prime == 5 and by_n[3].base_prime == 37
+    assert by_n[9] == 0.0
+    assert by_n[1] == math.log(5) and by_n[3] == math.log(37)
 
     spec21 = identity.check_admissible(2, 1)
     single, _ = identity.lhs_quadratic_psi(spec21, 1)
@@ -148,7 +148,7 @@ def test_rhs_float_is_correctly_rounded_sum_of_every_term():
     units = [u for u in range(1, N) if math.gcd(u, N) == 1]
     terms: list[float] = []
     for n in range(1, ctx.x + 1, 2):
-        lw = arith.von_mangoldt(4 * n + 1).log_weight
+        lw = arith.von_mangoldt(4 * n + 1)
         terms += [lw * roots[(s * s - n) * u % N].real for s in range(1, R + 1) for u in units]
     _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
     assert rhs_float.hex() == (math.fsum(terms) / len(units)).hex()
@@ -160,7 +160,7 @@ def test_rhs_exact_matches_square_indicator_route_on_default_grid():
         for x in verification.IDENTITY_X_VALUES:
             ctx = identity.make_context(x)
             expected = math.fsum(
-                arith.von_mangoldt(q * n + a).log_weight
+                arith.von_mangoldt(q * n + a)
                 * float(indicator.square_char_exp_value(ctx, n))
                 for n in range(1, x + 1, 2)
             )

@@ -40,9 +40,7 @@ def test_exp_value_inflated_context():
 
 def test_exp_verdicts_and_counterexamples():
     ctx = make_context(16)
-    verdict = indicator.square_char_exp(ctx, 7)
-    assert verdict.is_square is False and verdict.root is None
-    assert verdict.method == "exp_sum"
+    assert indicator.square_char_exp(ctx, 7) is False
     with pytest.raises(LemmaCounterexample) as info:
         indicator.square_char_exp(ctx, 9)
     assert info.value.check == "square-indicator-value"
@@ -63,12 +61,7 @@ def test_exp_rejects_bad_inputs():
 
 def test_liouville_route_matches_isqrt_route():
     for n in range(1, 2000):
-        liouville = indicator.square_char_liouville(n)
-        reference = indicator.square_char_isqrt(n)
-        assert liouville.is_square == reference.is_square, n
-        assert liouville.root == reference.root, n
-    assert indicator.square_char_liouville(49).method == "liouville"
-    assert indicator.square_char_isqrt(49).method == "isqrt"
+        assert indicator.square_char_liouville(n) is indicator.square_char_isqrt(n), n
 
 
 def _liouville_divisor_sum(n: int) -> int:
@@ -89,6 +82,9 @@ def test_liouville_divisor_sum_is_square_indicator():
         assert _liouville_divisor_sum(n) == expected, n
 
 
-def test_square_roots_reported():
-    assert indicator.square_char_isqrt(144).root == 12
-    assert indicator.square_char_liouville(10**18).root == 10**9
+def test_large_squares_recognised():
+    for n in (10**18, (2**32 - 1) ** 2):
+        assert indicator.square_char_isqrt(n) is True, n
+        assert indicator.square_char_liouville(n) is True, n
+        assert indicator.square_char_isqrt(n + 1) is False, n
+        assert indicator.square_char_liouville(n + 1) is False, n

@@ -93,3 +93,10 @@ def test_require_range_edges():
     poly.require_range(spec, (arith.U64_MAX + 1) // 2, "x")
     with pytest.raises(OverflowError):
         poly.require_range(spec, (arith.U64_MAX + 1) // 2 + 1, "x")
+
+
+def test_lambda_weight_reads_zero_below_one():
+    for value in (0, -1, -2**63):
+        assert poly.lambda_weight(value) == 0.0
+    for value in range(1, 200):
+        assert poly.lambda_weight(value) == arith.von_mangoldt(value), value
