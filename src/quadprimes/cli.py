@@ -1,17 +1,21 @@
 """Command-line front end.
 
-Every subcommand maps onto exactly one library operation and adds no
-computation of its own.  Output is deterministic: floats are rendered with 15
-significant digits, dict key order is fixed by construction, and CSV uses LF
-line endings, so identical argv yields byte-identical bytes.
+Each subcommand's handler calls the library and returns what it measured:
+inputs, result, diagnostics and an exit code.  `run` alone owns the rest:
+it wraps those in the one report envelope (command, inputs, result,
+diagnostics), renders it as JSON, human text or, for `compare`, CSV, and
+maps errors to exit codes.  Output is deterministic: floats are rendered
+with 15 significant digits, dict key order is fixed by construction, and CSV
+uses LF line endings, so identical argv yields byte-identical bytes.
 
 Exit codes: 0 success (verifications all passing), 1 verification
-counterexample, 2 usage or capacity error.
+counterexample, 2 usage, capacity or output-file error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -94,45 +98,31 @@ def _human_lines(obj: Any, indent: int = 0):
                 yield pad + _scalar(item)
 
 
-def _emit(payload: dict[str, Any], output: str) -> None:
-    if output == "json":
-        print(render_json(payload))
-    else:
-        for line in _human_lines(payload):
-            print(line)
-
-
-def _comparison_csv(rows: list[asymptotics.ComparisonRow]) -> str:
+def _comparison_csv(rows: list[dict[str, Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["x", "psi2", "conjectured", "ratio"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.x,
-                format(row.psi2, FLOAT_FORMAT),
-                format(row.conjectured, FLOAT_FORMAT),
-                format(row.ratio, FLOAT_FORMAT),
-            ]
-        )
+    writer.writerows([_scalar(value) for value in row.values()] for row in rows)
     return buffer.getvalue()
 
 
-def _cmd_ramanujan(args: argparse.Namespace) -> int:
+# What a handler measured: inputs, result, diagnostics and the exit code.
+Report = tuple[dict[str, Any], dict[str, Any], dict[str, Any], int]
+
+
+def _cmd_ramanujan(args: argparse.Namespace) -> Report:
     methods: dict[str, int] = {}
     if args.q <= ramanujan.DIRECT_Q_CAP:
         methods["direct"] = ramanujan.ramanujan_direct(args.q, args.m)
     methods["closed"] = ramanujan.ramanujan_closed(args.q, args.m)
     methods["divisor"] = ramanujan.ramanujan_divisor(args.q, args.m)
     agree = len(set(methods.values())) == 1
-    payload = {
-        "command": "ramanujan",
-        "inputs": {"q": args.q, "m": args.m},
-        "result": {"value": methods["closed"], "methods": methods, "methods_agree": agree},
-        "diagnostics": {},
-    }
-    _emit(payload, args.output)
-    return 0 if agree else 1
+    return (
+        {"q": args.q, "m": args.m},
+        {"value": methods["closed"], "methods": methods, "methods_agree": agree},
+        {},
+        0 if agree else 1,
+    )
 
 
 def _single_config(args: argparse.Namespace) -> Optional[list[tuple[int, int, int]]]:
@@ -144,7 +134,7 @@ def _single_config(args: argparse.Namespace) -> Optional[list[tuple[int, int, in
     return [(args.q, args.a, args.x)]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Report:
     if args.suite == "ramanujan":
         inputs: dict[str, Any] = {"q_max": args.q_max, "m_max": args.m_max}
         report = verification.verify_ramanujan(args.q_max, args.m_max)
@@ -167,26 +157,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "error-term": verification.verify_error_term,
         }[args.suite]
         report = suite_fn(configs, regime=args.regime, c=args.c)
-
-    payload = {
-        "command": f"verify {args.suite}",
-        "inputs": inputs,
-        "result": {
-            "suite": report.suite,
-            "cases_run": report.cases_run,
-            "cases_passed": report.cases_passed,
-            "counterexamples": [
-                {"inputs": ce.inputs, "expected": ce.expected, "got": ce.actual}
-                for ce in report.counterexamples
-            ],
-        },
-        "diagnostics": {"all_passed": report.all_passed},
+    result = {
+        "suite": report.suite,
+        "cases_run": report.cases_run,
+        "cases_passed": report.cases_passed,
+        "counterexamples": [
+            {"inputs": ce.inputs, "expected": ce.expected, "got": ce.actual}
+            for ce in report.counterexamples
+        ],
     }
-    _emit(payload, args.output)
-    return 0 if report.all_passed else 1
+    return inputs, result, {"all_passed": report.all_passed}, 0 if report.all_passed else 1
 
 
-def _cmd_psi2(args: argparse.Namespace) -> int:
+def _cmd_psi2(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
     result = asymptotics.psi2_count(spec, args.x, collect_hits=args.collect_hits)
     body: dict[str, Any] = {
@@ -196,87 +179,54 @@ def _cmd_psi2(args: argparse.Namespace) -> int:
     }
     if result.hits is not None:
         body["hits"] = [list(hit) for hit in result.hits]
-    payload = {
-        "command": "psi2",
-        "inputs": {"q": args.q, "a": args.a, "x": args.x},
-        "result": body,
-        "diagnostics": {"admissible": spec.admissible},
-    }
-    _emit(payload, args.output)
-    return 0
+    return {"q": args.q, "a": args.a, "x": args.x}, body, {"admissible": spec.admissible}, 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
     result = asymptotics.count_primes_poly(spec, args.n_max)
     assert result.hits is not None
-    payload = {
-        "command": "count",
-        "inputs": {"q": args.q, "a": args.a, "n_max": args.n_max},
-        "result": {
-            "prime_count": result.prime_count,
-            "n_values": [hit[0] for hit in result.hits],
-            "primes": [hit[1] for hit in result.hits],
-            "psi_value": result.psi_value,
-        },
-        "diagnostics": {"admissible": spec.admissible},
+    body = {
+        "prime_count": result.prime_count,
+        "n_values": [hit[0] for hit in result.hits],
+        "primes": [hit[1] for hit in result.hits],
+        "psi_value": result.psi_value,
     }
-    _emit(payload, args.output)
-    return 0
+    inputs = {"q": args.q, "a": args.a, "n_max": args.n_max}
+    return inputs, body, {"admissible": spec.admissible}, 0
 
 
-def _cmd_constant(args: argparse.Namespace) -> int:
+def _cmd_constant(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
     report = asymptotics.bateman_horn_constant(spec, args.cutoff, args.variant)
     other_variant = "paper" if args.variant == "hl" else "hl"
     other = asymptotics.bateman_horn_constant(spec, args.cutoff, other_variant)
-    payload = {
-        "command": "constant",
-        "inputs": {"q": args.q, "a": args.a, "variant": args.variant, "cutoff": args.cutoff},
-        "result": {
+    return (
+        {"q": args.q, "a": args.a, "variant": args.variant, "cutoff": args.cutoff},
+        {
             "estimate": report.estimate,
             "epsilon": report.epsilon,
             "trace": [[p, value] for p, value in report.trace],
         },
-        "diagnostics": {
+        {
             "comparison_variant": other_variant,
             "comparison_estimate": other.estimate,
             "difference": abs(report.estimate - other.estimate),
         },
-    }
-    _emit(payload, args.output)
-    return 0
+        0,
+    )
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
     rows = asymptotics.compare_asymptotic(spec, args.x_max, args.steps, args.cutoff)
-    csv_text = _comparison_csv(rows)
+    result = {"rows": [dataclasses.asdict(row) for row in rows]}
     if args.csv_path:
         with open(args.csv_path, "w", newline="") as handle:
-            handle.write(csv_text)
-    if args.output == "csv":
-        sys.stdout.write(csv_text)
-        return 0
-    payload = {
-        "command": "compare",
-        "inputs": {
-            "q": args.q,
-            "a": args.a,
-            "x_max": args.x_max,
-            "steps": args.steps,
-            "cutoff": args.cutoff,
-        },
-        "result": {
-            "rows": [
-                {"x": r.x, "psi2": r.psi2, "conjectured": r.conjectured, "ratio": r.ratio}
-                for r in rows
-            ],
-        },
-        "diagnostics": {"csv_path": args.csv_path},
-    }
-    _emit(payload, args.output)
-    return 0
+            handle.write(_comparison_csv(result["rows"]))
+    inputs = {"q": args.q, "a": args.a, "x_max": args.x_max, "steps": args.steps,
+              "cutoff": args.cutoff}
+    return inputs, result, {"csv_path": args.csv_path}, 0
 
 
 def _add_output_flag(parser: argparse.ArgumentParser, extra: tuple[str, ...] = ()) -> None:
@@ -383,13 +333,20 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except (ValueError, ArithmeticError, CapacityError) as exc:
+        inputs, result, diagnostics, code = args.handler(args)
+    except (ValueError, ArithmeticError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LemmaCounterexample, PrecisionError) as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return 1
+    if args.output == "csv":
+        sys.stdout.write(_comparison_csv(result["rows"]))
+        return code
+    command = f"verify {args.suite}" if args.subcommand == "verify" else args.subcommand
+    payload = {"command": command, "inputs": inputs, "result": result, "diagnostics": diagnostics}
+    print(render_json(payload) if args.output == "json" else "\n".join(_human_lines(payload)))
+    return code
 
 
 def main() -> None:

@@ -40,6 +40,31 @@ def test_render_json_fifteen_significant_digits():
     assert '"v": 15.1186800706576' in text
 
 
+@pytest.mark.parametrize(
+    "argv, command, expected_code",
+    [
+        (["ramanujan", "--q", "12", "--m", "8"], "ramanujan", 0),
+        (["verify", "ramanujan", "--q-max", "12", "--m-max", "12"], "verify ramanujan", 0),
+        (["verify", "parity", "--x", "16"], "verify parity", 1),
+        (["verify", "char", "--x", "16"], "verify char", 1),
+        (["verify", "identity", "--q", "4", "--a", "1", "--x", "16"], "verify identity", 1),
+        (["verify", "main-term", "--q", "4", "--a", "1", "--x", "16"], "verify main-term", 1),
+        (["verify", "error-term", "--q", "4", "--a", "1", "--x", "16"], "verify error-term", 0),
+        (["psi2", "--q", "4", "--a", "1", "--x", "100"], "psi2", 0),
+        (["count", "--q", "1", "--a", "1", "--n-max", "10"], "count", 0),
+        (["constant", "--q", "1", "--a", "1", "--cutoff", "1000"], "constant", 0),
+        (["compare", "--q", "4", "--a", "1", "--x-max", "100", "--steps", "1",
+          "--cutoff", "1000"], "compare", 0),
+    ],
+)
+def test_json_envelope_on_every_kind(capsys, argv, command, expected_code):
+    code, out, err = _run(capsys, argv + ["--output", "json"])
+    assert (code, err) == (expected_code, "")
+    payload = json.loads(out)
+    assert list(payload) == ["command", "inputs", "result", "diagnostics"]
+    assert payload["command"] == command
+
+
 def test_ramanujan_json_schema(capsys):
     code, out, err = _run(capsys, ["ramanujan", "--q", "12", "--m", "8", "--output", "json"])
     assert code == 0
@@ -165,6 +190,25 @@ def test_compare_csv_path(tmp_path, capsys):
     assert content.startswith("x,psi2,conjectured,ratio\n")
     assert content.count("\n") == 2
     assert "\r" not in content
+    # --output csv and --csv-path print the same table.
+    both = tmp_path / "both.csv"
+    code, out, _ = _run(
+        capsys,
+        ["compare", "--q", "4", "--a", "1", "--x-max", "1000", "--steps", "3",
+         "--cutoff", "1000", "--csv-path", str(both), "--output", "csv"],
+    )
+    assert code == 0
+    assert out == both.read_bytes().decode()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_csv_path_exits_two(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "table.csv"
+    code, out, err = _run(
+        capsys, ["compare", "--q", "4", "--a", "1", "--x-max", "100", "--csv-path", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_usage_errors_exit_two(capsys):
