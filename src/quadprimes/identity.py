@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -83,14 +82,15 @@ def _checked_phi(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> int:
 
 def _shift_coefficients(
     spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]
-) -> Iterator[tuple[int, float, int]]:
-    # (n, Lambda(q n + a), sum of w * c_N(t - n) over points) for each odd
-    # n <= x with nonzero weight.
+) -> Iterator[tuple[int, float, int, int]]:
+    # (n, Lambda(q n + a), full, d) for each odd n <= x with nonzero weight:
+    # full is the sum of w * c_N(t - n) over points and d its diagonal
+    # weight, so full - phi(N) * d drops the t = n terms.
     shift_sum = ramanujan.shift_sums(ctx, points)
     for n in range(1, ctx.x + 1, 2):
         lw = lambda_weight(spec.q * n + spec.a)
         if lw != 0.0:
-            yield n, lw, shift_sum(n)
+            yield (n, lw, *shift_sum(n))
 
 
 def rhs_linear_expansion(
@@ -111,10 +111,10 @@ def rhs_linear_expansion(
     weights: list[tuple[int, float]] = []
     exact_terms: list[float] = []
     squares = [(1, s * s) for s in range(1, R + 1)]
-    for n, lw, coeff in _shift_coefficients(spec, ctx, squares):
+    for n, lw, full, _ in _shift_coefficients(spec, ctx, squares):
         weights.append((n, lw))
-        if coeff:
-            exact_terms.append(float(Fraction(coeff, phi_n)) * lw)
+        if full:
+            exact_terms.append(full / phi_n * lw)
     rhs_exact = math.fsum(exact_terms)
 
     work = ((ctx.x + 1) // 2) * R * phi_n
@@ -157,17 +157,14 @@ def main_term_decomposition(
     value is returned.
     """
     phi_n = _checked_phi(spec, ctx)
-    R = ctx.floor_sqrt_x
-
     m0_terms: list[float] = []
     m1_terms: list[float] = []
-    window = [(1, s) for s in range(1, R + 1)]
-    for n, lw, full in _shift_coefficients(spec, ctx, window):
-        if n <= R:
+    window = [(1, s) for s in range(1, ctx.floor_sqrt_x + 1)]
+    for _, lw, full, d in _shift_coefficients(spec, ctx, window):
+        if d:
             m0_terms.append(lw)
-            full -= phi_n
-        if full:
-            m1_terms.append(full * lw)
+        if coeff := full - phi_n * d:
+            m1_terms.append(coeff * lw)
     M0 = math.fsum(m0_terms)
     M1 = math.fsum(m1_terms) / phi_n
     if strict and m1_terms:
@@ -203,24 +200,10 @@ def error_term_decomposition(
     phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term decomposition capped at x = {ERROR_TERM_X_CAP}")
-    pairs = dyadic_pairs(ctx.floor_sqrt_x)
-
-    e0_terms = [
-        arith.liouville(d) * lambda_weight(spec.q * dm + spec.a)
-        for d, _, dm in pairs
-        if dm % 2 == 1
-    ]
-    E0 = math.fsum(e0_terms)
-
-    signed = [(arith.liouville(d), dm) for d, _, dm in pairs]
-    diagonal: dict[int, int] = {}
-    for lam, dm in signed:
-        diagonal[dm] = diagonal.get(dm, 0) + lam
-    e1_terms: list[float] = []
-    for n, lw, full in _shift_coefficients(spec, ctx, signed):
-        coeff = full - phi_n * diagonal.get(n, 0)
-        if coeff:
-            e1_terms.append(coeff * lw)
+    signed = [(arith.liouville(d), dm) for d, _, dm in dyadic_pairs(ctx.floor_sqrt_x)]
+    E0 = math.fsum(lam * lambda_weight(spec.q * dm + spec.a) for lam, dm in signed if dm % 2)
+    e1_terms = [coeff * lw for _, lw, full, d in _shift_coefficients(spec, ctx, signed)
+                if (coeff := full - phi_n * d)]
     E1 = math.fsum(e1_terms) / phi_n
     return E0, E1
 
@@ -242,5 +225,5 @@ def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> flo
         if w:
             weighted.append((w, s))
 
-    terms = [coeff * lw for _, lw, coeff in _shift_coefficients(spec, ctx, weighted) if coeff]
+    terms = [full * lw for _, lw, full, _ in _shift_coefficients(spec, ctx, weighted) if full]
     return math.fsum(terms) / phi_n

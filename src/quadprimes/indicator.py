@@ -33,11 +33,12 @@ def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     ctx.require_even_floor_sqrt()
     ctx.require_odd_n(n)
     shift_sum, phi = _square_kernel(ctx)
-    return Fraction(shift_sum(n), phi)
+    full, _ = shift_sum(n)
+    return Fraction(full, phi)
 
 
 @lru_cache(maxsize=1)
-def _square_kernel(ctx: ramanujan.ModulusContext) -> tuple[Callable[[int], int], int]:
+def _square_kernel(ctx: ramanujan.ModulusContext) -> tuple[Callable[[int], tuple[int, int]], int]:
     """The shift-sum kernel over the squares s*s <= x, and phi(N): built once
     per context, so a sweep over every odd n <= x stays linear in x."""
     squares = [(1, s * s) for s in range(1, ctx.floor_sqrt_x + 1)]

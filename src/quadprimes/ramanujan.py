@@ -10,10 +10,11 @@ routes are exposed so each can cross-check the others:
 Each route memoises its value, bounded, on exactly the integers its formula
 reads: the direct sum on (q, m % q), the other two on (q, gcd(|m|, q)).
 
-shift_sums gives the exact sum of w * c_N(t - n) over weighted points (w, t)
-for every n in 1..x at N = 2p, from three closed-form values: for
-1 <= t, n <= x < p the gcd of t - n with 2p depends only on whether t - n
-is 0, even or odd.  The square indicator and every exact identity path are that one sum.
+shift_sums gives, for every n in 1..x at N = 2p, the exact sum of w * c_N(t - n)
+over weighted points (w, t) and its diagonal weight d, the total w at t = n, from
+three closed-form values: for 1 <= t, n <= x < p, gcd(t - n, 2p) depends only on
+whether t - n is 0, even or odd.  The square indicator reads the full sum; the
+exact identity paths read full - phi(N) * d, the sum with its diagonal dropped.
 
 For a modulus N = 2p with p prime and p > x, c_N(m) with 0 < |m| < p only
 depends on the parity of m.  parity_value checks the sign prediction (-1)**s
@@ -163,14 +164,17 @@ def _closed_value(q: int, d: int) -> int:
     return mu * quotient
 
 
-def shift_sums(ctx: ModulusContext, points: Iterable[tuple[int, int]]) -> Callable[[int], int]:
-    """The map n -> exact sum of w * c_N(t - n) over the (w, t) in points.
+def shift_sums(
+    ctx: ModulusContext, points: Iterable[tuple[int, int]]
+) -> Callable[[int], tuple[int, int]]:
+    """The map n -> (full, d): full is the exact sum of w * c_N(t - n) over
+    the (w, t) in points, d the weight of the points with t = n, and
+    full - phi(N) * d the sum with its diagonal dropped.
 
     For t and n in 1..x with x < p, gcd(t - n, 2p) is 2 when t - n is even
-    and nonzero, 1 when it is odd, and 2p at t = n.  So the sum is
-    c_N(2) times the weight of the same-parity points off the diagonal,
-    plus c_N(1) times the opposite-parity weight, plus c_N(0) = phi(N)
-    times the weight at t = n.  All three values come from
+    and nonzero, 1 when it is odd, and 2p at t = n.  So full is c_N(2) times
+    the weight of the same-parity points off the diagonal, plus c_N(1) times
+    the opposite-parity weight, plus c_N(0) = phi(N) times d, all three from
     ramanujan_closed.  The points are read once; each n then costs O(1).
 
     Raises:
@@ -185,11 +189,11 @@ def shift_sums(ctx: ModulusContext, points: Iterable[tuple[int, int]]) -> Callab
         diagonal[t] = diagonal.get(t, 0) + w
     c0, c1, c2 = (ramanujan_closed(ctx.N, m) for m in (0, 1, 2))
 
-    def shift_sum(n: int) -> int:
+    def shift_sum(n: int) -> tuple[int, int]:
         if not 1 <= n <= ctx.x:
             raise ValueError(f"n={n} outside 1..{ctx.x}")
         d = diagonal.get(n, 0)
-        return c2 * (class_weight[n % 2] - d) + c1 * class_weight[1 - n % 2] + c0 * d
+        return c2 * (class_weight[n % 2] - d) + c1 * class_weight[1 - n % 2] + c0 * d, d
 
     return shift_sum
 

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +265,40 @@ def test_output_is_deterministic(capsys, argv):
     second_code, second_out, _ = _run(capsys, argv)
     assert first_code == second_code
     assert first_out == second_out
+
+
+# Each request is run in a child interpreter, once per hash seed; the child
+# prints every request's exit code and stdout as JSON.
+_CHILD_SCRIPT = """
+import contextlib, io, json, sys
+from quadprimes import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_is_byte_identical_across_hash_seeds():
+    requests = [
+        ["verify", "char", "--x", "36", "--output", "json"],
+        ["verify", "identity", "--q", "4", "--a", "1", "--x", "100", "--output", "json"],
+        ["constant", "--q", "1", "--a", "1", "--cutoff", "1000", "--output", "json"],
+        ["compare", "--q", "4", "--a", "1", "--x-max", "10000", "--steps", "4",
+         "--cutoff", "1000", "--output", "csv"],
+    ]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        child = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, json.dumps(requests)],
+                               env=env, capture_output=True, check=True)
+        runs.append(json.loads(child.stdout))
+    first, second = runs
+    assert [code for code, _ in first] == [1, 1, 0, 0]
+    assert all(out for _, out in first)
+    for argv, run_a, run_b in zip(requests, first, second):
+        assert run_a == run_b, argv

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 import tracemalloc
 
@@ -247,3 +248,23 @@ def test_error_term_capacity_cap():
     with pytest.raises(CapacityError):
         identity.error_term_total(spec, ctx)
 
+
+def test_exact_paths_keep_their_bits():
+    # Every exact-path float on the default grid and at the error-term cap,
+    # pinned bit for bit: a rewrite of these paths must not move a single ulp.
+    configs = [(q, a, x) for q, a in verification.IDENTITY_PAIRS
+               for x in verification.IDENTITY_X_VALUES]
+    configs += [(q, a, identity.ERROR_TERM_X_CAP) for q, a in verification.IDENTITY_PAIRS]
+    lines = []
+    for q, a, x in configs:
+        spec = identity.check_admissible(q, a)
+        ctx = identity.make_context(x)
+        lhs, _ = identity.lhs_quadratic_psi(spec, x)
+        rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx)
+        M0, M1 = identity.main_term_decomposition(spec, ctx, strict=False)
+        E0, E1 = identity.error_term_decomposition(spec, ctx)
+        total = identity.error_term_total(spec, ctx)
+        hexes = [v.hex() for v in (lhs, rhs_exact, M0, M1, E0, E1, total)]
+        lines.append(f"{q},{a},{x}:" + ",".join(hexes))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest[:16] == "b6f73d7bbac3038d"

@@ -112,24 +112,30 @@ def _caller_points(x: int) -> dict[str, list[tuple[int, int]]]:
     }
 
 
-@pytest.mark.parametrize("x", (16, 100, 144, 1296, 10**4))
-def test_shift_sums_match_literal_closed_form_sum(x):
+def _check_shift_sums(x: int, c_n) -> None:
+    # full against the literal sum of w * c_N(t - n), d against the weight at
+    # t = n, and full - phi(N) * d against the literal off-diagonal sum.
     ctx = _ctx(x)
+    phi_n = arith.euler_phi(ctx.N)
     for name, points in _caller_points(x).items():
         shift_sum = ramanujan.shift_sums(ctx, points)
         for n in range(1, x + 1, 2):
-            expected = sum(w * ramanujan.ramanujan_closed(ctx.N, t - n) for w, t in points)
-            assert shift_sum(n) == expected, (name, x, n)
+            terms = [(t, w, w * c_n(ctx.N, t - n)) for w, t in points]
+            full, d = shift_sum(n)
+            assert full == sum(term for _, _, term in terms), (name, x, n)
+            assert d == sum(w for t, w, _ in terms if t == n), (name, x, n)
+            off_diagonal = sum(term for t, _, term in terms if t != n)
+            assert full - phi_n * d == off_diagonal, (name, x, n)
+
+
+@pytest.mark.parametrize("x", (16, 100, 144, 1296, 10**4))
+def test_shift_sums_match_literal_closed_form_sum(x):
+    _check_shift_sums(x, ramanujan.ramanujan_closed)
 
 
 @pytest.mark.parametrize("x", (16, 100, 144))
 def test_shift_sums_match_direct_summation(x):
-    ctx = _ctx(x)
-    for name, points in _caller_points(x).items():
-        shift_sum = ramanujan.shift_sums(ctx, points)
-        for n in range(1, x + 1, 2):
-            expected = sum(w * ramanujan.ramanujan_direct(ctx.N, t - n) for w, t in points)
-            assert shift_sum(n) == expected, (name, x, n)
+    _check_shift_sums(x, ramanujan.ramanujan_direct)
 
 
 def test_shift_sums_reject_points_outside_range():
