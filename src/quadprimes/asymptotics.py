@@ -18,9 +18,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import arith
+from . import arith, sieve
 from .errors import CapacityError
-from .poly import PolynomialSpec, lambda_weight, require_admissible, require_range
+from .poly import PolynomialSpec, require_admissible, require_range
 
 DEFAULT_EULER_CUTOFF = 10**6
 EULER_CUTOFF_MAX = 10**8
@@ -112,7 +112,7 @@ def linear_psi_odd(spec: PolynomialSpec, X: int) -> tuple[float, float]:
     progression-density comparison line.
     """
     require_admissible(spec, X, "X")
-    value = math.fsum(lambda_weight(spec.q * n + spec.a) for n in range(1, X + 1, 2))
+    value = math.fsum(lw for _, lw in sieve.linear_lambda(spec, X))
     reference = spec.q * X / (2 * arith.euler_phi(spec.q))
     return value, reference
 

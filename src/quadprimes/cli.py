@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Optional
 
 from . import asymptotics, identity, ramanujan, verification
@@ -326,10 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first request, not at import, then reused: parsing, a
+    # usage error and --help all leave the parser as it was.
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import arith, ramanujan
+from . import arith, ramanujan, sieve
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
 from .poly import PolynomialSpec, check_admissible  # noqa: F401 (re-export)
 from .poly import lambda_weight, require_admissible
@@ -87,10 +87,8 @@ def _shift_coefficients(
     # full is the sum of w * c_N(t - n) over points and d its diagonal
     # weight, so full - phi(N) * d drops the t = n terms.
     shift_sum = ramanujan.shift_sums(ctx, points)
-    for n in range(1, ctx.x + 1, 2):
-        lw = lambda_weight(spec.q * n + spec.a)
-        if lw != 0.0:
-            yield (n, lw, *shift_sum(n))
+    for n, lw in sieve.linear_lambda(spec, ctx.x):
+        yield (n, lw, *shift_sum(n))
 
 
 def rhs_linear_expansion(

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from . import arith, asymptotics, identity, indicator, ramanujan
+from . import arith, asymptotics, identity, indicator, ramanujan, sieve
 from .errors import CapacityError, LemmaCounterexample
 
 # Shared identity-check grid: every admissible pair crossed with every x.
@@ -120,17 +120,22 @@ def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> Verification
 
 
 def verify_liouville(limit: int = 10**5) -> VerificationReport:
-    """Factorization-parity square indicator against the integer-root oracle."""
+    """Exponent-parity square indicator against the integer-root oracle.
+
+    The parities come from one sieve over 1..limit, a segment at a time;
+    indicator.square_char_liouville reads the same parities from each n's
+    own factorization.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
-        for n in range(1, limit + 1):
-            reference = indicator.square_char_isqrt(n)
-            verdict = indicator.square_char_liouville(n)
-            yield None if verdict == reference else Counterexample(
-                inputs={"n": n}, expected=reference, actual=verdict,
-            )
+        for start, flags in sieve.square_flags(limit):
+            for n, verdict in enumerate(flags.tolist(), start):
+                reference = indicator.square_char_isqrt(n)
+                yield None if verdict == reference else Counterexample(
+                    inputs={"n": n}, expected=reference, actual=verdict,
+                )
 
     return _tally("liouville", outcomes())
 

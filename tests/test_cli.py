@@ -1,10 +1,12 @@
 """CLI behavior: schema, formatting, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,8 +269,8 @@ def test_output_is_deterministic(capsys, argv):
     assert first_out == second_out
 
 
-# Each request is run in a child interpreter, once per hash seed; the child
-# prints every request's exit code and stdout as JSON.
+# The child interpreter runs each request in turn and prints every
+# request's exit code and stdout as JSON.
 _CHILD_SCRIPT = """
 import contextlib, io, json, sys
 from quadprimes import cli
@@ -282,6 +284,15 @@ print(json.dumps(results))
 """
 
 
+def _fresh_process(requests, **env):
+    """Each request's [exit code, stdout], from one new interpreter."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": package_root}
+    child = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, json.dumps(requests)],
+                           env=env, capture_output=True, check=True)
+    return json.loads(child.stdout)
+
+
 def test_output_is_byte_identical_across_hash_seeds():
     requests = [
         ["verify", "char", "--x", "36", "--output", "json"],
@@ -290,15 +301,47 @@ def test_output_is_byte_identical_across_hash_seeds():
         ["compare", "--q", "4", "--a", "1", "--x-max", "10000", "--steps", "4",
          "--cutoff", "1000", "--output", "csv"],
     ]
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    runs = []
-    for seed in ("0", "4242"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
-        child = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, json.dumps(requests)],
-                               env=env, capture_output=True, check=True)
-        runs.append(json.loads(child.stdout))
-    first, second = runs
+    first, second = (_fresh_process(requests, PYTHONHASHSEED=seed) for seed in ("0", "4242"))
     assert [code for code, _ in first] == [1, 1, 0, 0]
     assert all(out for _, out in first)
     for argv, run_a, run_b in zip(requests, first, second):
         assert run_a == run_b, argv
+
+
+def test_parser_is_built_once_and_left_unchanged(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    valid = ["verify", "identity", "--q", "4", "--a", "1", "--x", "16", "--output", "json"]
+    try:
+        assert _run(capsys, ["psi2", "--q", "4", "--a", "1"])[0] == 2
+        code, out, _ = _run(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: quadprimes")
+        code, out, _ = _run(capsys, valid)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert [[code, out]] == _fresh_process([valid])
+
+
+@pytest.mark.parametrize("suite, expected_code, digest", [
+    ("identity", 1, "420e617fb54e63d1"),
+    ("main-term", 0, "6d187c0f84a077b6"),
+    ("error-term", 0, "83b3cf4d81b24a04"),
+])
+def test_verify_at_the_top_of_the_64_bit_range(capsys, suite, expected_code, digest):
+    # q*x + a = 2**64 - 14: the exact paths weigh values up to the top of
+    # the 64-bit range, with the same bytes as the per-value route gave.
+    argv = ["verify", suite, "--q", "1152921504606846975", "--a", "2", "--x", "16",
+            "--output", "json"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (expected_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -42,6 +42,8 @@ def test_module_graph():
     assert not graph["asymptotics"][0] & {"identity", "indicator"}
     assert "indicator" not in graph["identity"][0]
     assert "poly" in graph["asymptotics"][0] and "poly" in graph["identity"][0]
+    # The sieve is a layer under both routes it serves.
+    assert graph["sieve"][0] == {"arith", "poly"}
 
 
 def test_identity_reexports_the_polynomial_record():
