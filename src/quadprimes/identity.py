@@ -105,18 +105,22 @@ def rhs_linear_expansion(
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
+    float_route = ((ctx.x + 1) // 2) * R * phi_n <= FLOAT_WORK_CAP and ctx.N <= FLOAT_TABLE_CAP
 
+    # The exact terms stream into one math.fsum; the (n, Lambda) pairs are
+    # kept only for a float route that will run.
     weights: list[tuple[int, float]] = []
-    exact_terms: list[float] = []
     squares = [(1, s * s) for s in range(1, R + 1)]
-    for n, lw, full, _ in _shift_coefficients(spec, ctx, squares):
-        weights.append((n, lw))
-        if full:
-            exact_terms.append(full / phi_n * lw)
-    rhs_exact = math.fsum(exact_terms)
 
-    work = ((ctx.x + 1) // 2) * R * phi_n
-    if work > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
+    def exact_terms() -> Iterator[float]:
+        for n, lw, full, _ in _shift_coefficients(spec, ctx, squares):
+            if float_route:
+                weights.append((n, lw))
+            if full:
+                yield full / phi_n * lw
+
+    rhs_exact = math.fsum(exact_terms())
+    if not float_route:
         return rhs_exact, None
 
     # Independent route on purpose: local tables, no shared Ramanujan code.

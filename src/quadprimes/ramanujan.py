@@ -7,8 +7,10 @@ routes are exposed so each can cross-check the others:
     ramanujan_closed: mu(q/d) * phi(q) / phi(q/d) with d = gcd(|m|, q)
     ramanujan_divisor: sum of mu(q/d) * d over d | gcd(|m|, q)
 
-Each route memoises its value, bounded, on exactly the integers its formula
-reads: the direct sum on (q, m % q), the other two on (q, gcd(|m|, q)).
+The closed form and the divisor sum memoise their values, bounded, on
+exactly the integers their formulas read, (q, gcd(|m|, q)).  The direct sum
+reads m only through the residue m % q: each call sums every residue it
+meets once, in numpy blocks, and keeps nothing.
 
 shift_sums gives, for every n in 1..x at N = 2p, the exact sum of w * c_N(t - n)
 over weighted points (w, t) and its diagonal weight d, the total w at t = n, from
@@ -24,20 +26,23 @@ the measured value attached.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal, Sequence
+
+import numpy as np
 
 from . import arith
 from .errors import CapacityError, LemmaCounterexample, PrecisionError
 
 DIRECT_Q_CAP = 10**6
 
-# Entries per route memo.  A sweep over m for one q needs at most q direct
-# entries and one closed or divisor entry per divisor of q.
+# Entries per closed-form or divisor-sum memo: a sweep over m for one q needs
+# one entry per divisor of q.
 _MEMO_SIZE = 1 << 12
+# Terms per block of the direct sum, so no block grows with q.
+_DIRECT_BLOCK = 1 << 16
 
 ParityMode = Literal["linear", "quadratic"]
 
@@ -92,32 +97,65 @@ def nearest_even_parity_x(x: int) -> int:
     return x if r % 2 == 0 else r * r - 1
 
 
-@lru_cache(maxsize=4)
-def _unit_roots(q: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * k / q) for k in range(q))
+def _direct_totals(q: int, residues: np.ndarray) -> np.ndarray:
+    """The sum of e(a*r/q) over the residues a coprime to q, for each r in
+    residues, as complex floats.
+
+    The literal defining sum, gathered from a table of the q-th roots of
+    unity in blocks of at most _DIRECT_BLOCK terms: rows of residues by
+    columns of coprime a.  For q = 1 the one coprime residue is 0, so the
+    sum is 1 and all three routes agree at q = 1.
+    """
+    k = np.arange(q, dtype=np.int64)
+    roots = np.exp(2j * np.pi * k / q)
+    coprime = k[np.gcd(k, q) == 1]
+    totals = np.zeros(residues.size, dtype=complex)
+    cols = min(coprime.size, _DIRECT_BLOCK)
+    rows = _DIRECT_BLOCK // cols
+    for col in range(0, coprime.size, cols):
+        units = coprime[col:col + cols]
+        for row in range(0, residues.size, rows):
+            r = residues[row:row + rows, None]
+            totals[row:row + rows] += roots[r * units % q].sum(axis=1)
+    return totals
 
 
-@lru_cache(maxsize=4)
-def _coprime_residues(q: int) -> tuple[int, ...]:
-    # Residues mod q coprime to q.  For q = 1 this is (0,), which makes the
-    # direct sum equal 1 and keeps all three methods consistent at q = 1.
-    return tuple(a for a in range(q) if math.gcd(a, q) == 1)
+def direct_values(q: int, ms: Sequence[int]) -> np.ndarray:
+    """c_q(m) for each m in ms by literal complex summation, as int64.
 
+    The sum reads m only through r = m % q, since a*m % q == a*r % q, so
+    each distinct residue is summed once.  Not keyed by gcd(|m|, q): that
+    key would assume the theorem the direct route is there to check.
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _direct_total(q: int, r: int) -> complex:
-    # Keyed by the residue r = m % q, since a*m % q == a*r % q is all the
-    # loop reads.  Not by gcd(|m|, q): that key would assume the theorem the
-    # direct route is there to check.
-    roots = _unit_roots(q)
-    total = 0j
-    for a in _coprime_residues(q):
-        total += roots[a * r % q]
-    return total
+    Args:
+        q: modulus, 1 <= q <= 10**6 (float-path cap).
+        ms: integers of any size.
+
+    Raises:
+        CapacityError: q beyond the float-path cap.
+        PrecisionError: imaginary part or rounding residual >= 1e-6, naming
+            the first such m in ms.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if q > DIRECT_Q_CAP:
+        raise CapacityError(f"direct path capped at q <= {DIRECT_Q_CAP}")
+    residues = np.remainder(np.asarray(ms), q).astype(np.int64)
+    seen = np.zeros(q, dtype=bool)
+    seen[residues] = True
+    keys = np.flatnonzero(seen)
+    totals = _direct_totals(q, keys)[np.searchsorted(keys, residues)]
+    values = np.rint(totals.real)
+    residual = np.maximum(np.abs(totals.imag), np.abs(totals.real - values))
+    bad = np.flatnonzero(residual >= 1e-6)
+    if bad.size:
+        i = bad[0]
+        raise PrecisionError(f"c_{q}({ms[i]}) residual {residual[i]:.3e} >= 1e-6")
+    return values.astype(np.int64)
 
 
 def ramanujan_direct(q: int, m: int) -> int:
-    """c_q(m) by literal complex summation.
+    """c_q(m) by literal complex summation: direct_values at the one m.
 
     Args:
         q: modulus, 1 <= q <= 10**6 (float-path cap).
@@ -130,16 +168,7 @@ def ramanujan_direct(q: int, m: int) -> int:
         CapacityError: q beyond the float-path cap.
         PrecisionError: imaginary part or rounding residual >= 1e-6.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q > DIRECT_Q_CAP:
-        raise CapacityError(f"direct path capped at q <= {DIRECT_Q_CAP}")
-    total = _direct_total(q, m % q)
-    value = round(total.real)
-    residual = max(abs(total.imag), abs(total.real - value))
-    if residual >= 1e-6:
-        raise PrecisionError(f"c_{q}({m}) residual {residual:.3e} >= 1e-6")
-    return value
+    return int(direct_values(q, [m])[0])
 
 
 def ramanujan_closed(q: int, m: int) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import arith, asymptotics, identity, indicator, ramanujan, sieve
 from .errors import CapacityError, LemmaCounterexample
 
@@ -65,7 +67,8 @@ def _caught(check: Callable[..., object], *args: Any) -> Optional[Counterexample
 
 
 def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
-    """Three-way agreement of the direct, closed-form, and divisor sums."""
+    """Three-way agreement of the direct, closed-form, and divisor sums at
+    every 1 <= q <= q_max and |m| <= m_max, one pass per q."""
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
     work = q_max * (q_max + 1) // 2 * (2 * m_max + 1)
@@ -73,19 +76,30 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
         raise CapacityError(f"direct sums capped at q_max <= {ramanujan.DIRECT_Q_CAP} and "
                             f"{DIRECT_WORK_CAP} terms; this sweep needs {work}")
 
-    def outcomes() -> Iterator[Optional[Counterexample]]:
-        for q in range(1, q_max + 1):
-            for m in range(-m_max, m_max + 1):
-                closed = ramanujan.ramanujan_closed(q, m)
-                divisor = ramanujan.ramanujan_divisor(q, m)
-                direct = ramanujan.ramanujan_direct(q, m)
-                yield None if closed == divisor == direct else Counterexample(
-                    inputs={"q": q, "m": m},
-                    expected="direct = closed = divisor",
-                    actual={"direct": direct, "closed": closed, "divisor": divisor},
-                )
-
-    return _tally("ramanujan", outcomes())
+    ms = np.arange(-m_max, m_max + 1, dtype=np.int64)
+    rows: list[Counterexample] = []
+    for q in range(1, q_max + 1):
+        direct = ramanujan.direct_values(q, ms)
+        # The closed form and the divisor sum read m only through
+        # gcd(|m|, q), so each runs once per gcd the sweep meets.
+        gcds = np.gcd(ms, q)
+        seen = np.zeros(q + 1, dtype=bool)
+        seen[gcds] = True
+        closed_at = np.zeros(q + 1, dtype=np.int64)
+        divisor_at = np.zeros(q + 1, dtype=np.int64)
+        for g in np.flatnonzero(seen).tolist():
+            closed_at[g] = ramanujan.ramanujan_closed(q, g)
+            divisor_at[g] = ramanujan.ramanujan_divisor(q, g)
+        closed, divisor = closed_at[gcds], divisor_at[gcds]
+        for i in np.flatnonzero((closed != divisor) | (closed != direct)).tolist():
+            rows.append(Counterexample(
+                inputs={"q": q, "m": int(ms[i])},
+                expected="direct = closed = divisor",
+                actual={"direct": int(direct[i]), "closed": int(closed[i]),
+                        "divisor": int(divisor[i])},
+            ))
+    cases = q_max * ms.size
+    return VerificationReport("ramanujan", cases, cases - len(rows), tuple(rows))
 
 
 def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:

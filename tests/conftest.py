@@ -5,7 +5,7 @@ import pytest
 
 from quadprimes import ramanujan
 
-RAMANUJAN_MEMOS = (ramanujan._direct_total, ramanujan._closed_value, ramanujan._divisor_value)
+RAMANUJAN_MEMOS = (ramanujan._closed_value, ramanujan._divisor_value)
 
 
 @pytest.fixture

@@ -250,6 +250,14 @@ def test_oversized_ramanujan_sweep_refused_before_it_starts(capsys, monkeypatch)
     assert out == "" and err.startswith("error: direct sums capped")
 
 
+def test_ramanujan_at_the_largest_prime_below_the_direct_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["ramanujan", "--q", "999983", "--m", "5", "--output", "json"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "684ea9c4d49d"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

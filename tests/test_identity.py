@@ -5,10 +5,11 @@ import cmath
 import hashlib
 import math
 import tracemalloc
+from collections import deque
 
 import pytest
 
-from quadprimes import arith, identity, indicator, verification
+from quadprimes import arith, identity, indicator, sieve, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample
 
 
@@ -137,6 +138,28 @@ def test_rhs_float_path_memory_is_bounded():
         tracemalloc.stop()
     assert rhs_float is not None
     assert peak < 2 * 2**20, peak
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rhs_exact_path_holds_no_more_than_its_sieve():
+    # At x = 1e6, N = 2p > FLOAT_TABLE_CAP skips the float route, so the
+    # expansion streams its terms and keeps no (n, Lambda) pair per n.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(10**6)
+    assert ctx.N > identity.FLOAT_TABLE_CAP
+    sieve_peak = _traced_peak(lambda: deque(sieve.linear_lambda(spec, ctx.x), maxlen=0))
+    results = []
+    expansion_peak = _traced_peak(lambda: results.append(identity.rhs_linear_expansion(spec, ctx)))
+    assert results[0][1] is None
+    assert expansion_peak - sieve_peak < 1.5 * 2**20, (expansion_peak, sieve_peak)
 
 
 def test_rhs_float_is_correctly_rounded_sum_of_every_term():

@@ -1,9 +1,11 @@
 """Ramanujan sums: method agreement, algebraic laws, parity behavior."""
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadprimes import arith, identity, ramanujan
@@ -68,14 +70,20 @@ def test_multiplicative_in_q():
             assert lhs == rhs, (route.__name__, q1, q2, m)
 
 
-def test_memo_keys(cold_ramanujan_memos):
-    # The direct route is keyed by the residue m % q: 1 and 5 share
-    # gcd(m, 12) = 1 but are two residues, and 13 is the residue of 1.
-    ramanujan.ramanujan_direct(12, 1)
-    ramanujan.ramanujan_direct(12, 5)
-    assert ramanujan._direct_total.cache_info()[:2] == (0, 2)
-    ramanujan.ramanujan_direct(12, 13)
-    assert ramanujan._direct_total.cache_info()[:2] == (1, 2)
+def test_memo_keys(cold_ramanujan_memos, monkeypatch):
+    # The direct route reads m through the residue m % q alone: 1 and 5
+    # share gcd(m, 12) = 1 but are two residues, and 13 is the residue of 1.
+    summed = []
+    real_totals = ramanujan._direct_totals
+
+    def spy(q, residues):
+        summed.append((q, residues.tolist()))
+        return real_totals(q, residues)
+
+    monkeypatch.setattr(ramanujan, "_direct_totals", spy)
+    assert ramanujan.direct_values(12, [1, 5, 13]).tolist() == [0, 0, 0]
+    assert ramanujan.ramanujan_direct(12, 13) == 0
+    assert summed == [(12, [1, 5]), (12, [1])]
     # The closed form and the divisor sum are keyed by gcd(|m|, q).
     for route, memo in ((ramanujan.ramanujan_closed, ramanujan._closed_value),
                         (ramanujan.ramanujan_divisor, ramanujan._divisor_value)):
@@ -87,6 +95,41 @@ def test_memo_keys(cold_ramanujan_memos):
 def test_direct_capacity_cap():
     with pytest.raises(CapacityError):
         ramanujan.ramanujan_direct(ramanujan.DIRECT_Q_CAP + 1, 1)
+
+
+def _literal_direct_total(q: int, r: int) -> complex:
+    # The defining sum term by term: e(a*r/q) over the a coprime to q.
+    total = 0j
+    for a in range(q):
+        if math.gcd(a, q) == 1:
+            total += cmath.exp(2j * cmath.pi * (a * r % q) / q)
+    return total
+
+
+@pytest.mark.parametrize("block", (1 << 16, 5))
+def test_direct_values_match_literal_loop(monkeypatch, block):
+    # Every residue of every q <= 100; a block of 5 terms splits both the
+    # residues and the coprime a into many blocks.
+    monkeypatch.setattr(ramanujan, "_DIRECT_BLOCK", block)
+    for q in range(1, 101):
+        expected = [_literal_direct_total(q, r) for r in range(q)]
+        totals = ramanujan._direct_totals(q, np.arange(q))
+        assert np.abs(totals - expected).max() < 1e-9, q
+        values = ramanujan.direct_values(q, range(q))
+        assert values.tolist() == [round(total.real) for total in expected], q
+
+
+def test_direct_values_read_any_integer_through_its_residue():
+    ms = [-1, 0, 7, 10**30 + 1, -(10**30), 2**63 + 3]
+    for q in (1, 7, 12):
+        assert ramanujan.direct_values(q, ms).tolist() == [
+            ramanujan.ramanujan_closed(q, m) for m in ms], q
+
+
+@pytest.mark.parametrize("q", (999983, 10**6))
+def test_direct_route_at_the_cap(q):
+    for m in (0, 5, q // 5):
+        assert ramanujan.ramanujan_direct(q, m) == ramanujan.ramanujan_closed(q, m), m
 
 
 def test_context_validation():

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from quadprimes import indicator, ramanujan, verification
-from quadprimes.errors import CapacityError
+from quadprimes.errors import CapacityError, PrecisionError
 
 # Failing parity cases per x, established by exhaustive independent runs:
 # linear mode fails at odd n <= floor(sqrt(x)), quadratic mode at odd squares.
@@ -43,6 +44,65 @@ def test_ramanujan_suite_refuses_oversized_sweeps_up_front(monkeypatch):
     # 1000 * 1001 / 2 * 2001 = 1.0e9 terms, just over the work cap.
     with pytest.raises(CapacityError):
         verification.verify_ramanujan(1000, 1000)
+
+
+def _per_case_report(q_max: int, m_max: int) -> verification.VerificationReport:
+    # The three routes called at every (q, m) in turn, one row per
+    # disagreement in (q, m) order.
+    rows = []
+    for q in range(1, q_max + 1):
+        for m in range(-m_max, m_max + 1):
+            closed = ramanujan.ramanujan_closed(q, m)
+            divisor = ramanujan.ramanujan_divisor(q, m)
+            direct = ramanujan.ramanujan_direct(q, m)
+            if not closed == divisor == direct:
+                rows.append(verification.Counterexample(
+                    inputs={"q": q, "m": m},
+                    expected="direct = closed = divisor",
+                    actual={"direct": direct, "closed": closed, "divisor": divisor},
+                ))
+    cases = q_max * (2 * m_max + 1)
+    return verification.VerificationReport("ramanujan", cases, cases - len(rows), tuple(rows))
+
+
+def test_ramanujan_suite_rows_match_the_per_case_loop(monkeypatch):
+    real_divisor = ramanujan.ramanujan_divisor
+
+    def wrong_at_12_4(q, m):
+        value = real_divisor(q, m)
+        return value + 1 if (q, math.gcd(abs(m), q)) == (12, 4) else value
+
+    monkeypatch.setattr(ramanujan, "ramanujan_divisor", wrong_at_12_4)
+    report = verification.verify_ramanujan(20, 20)
+    assert report == _per_case_report(20, 20)
+    assert [ce.inputs for ce in report.counterexamples] == [
+        {"q": 12, "m": m} for m in (-20, -16, -8, -4, 4, 8, 16, 20)]
+    for ce in report.counterexamples:
+        assert ce.actual == {"direct": -2, "closed": -2, "divisor": -1}
+        assert {type(v) for v in (*ce.inputs.values(), *ce.actual.values())} == {int}
+
+
+def test_ramanujan_suite_names_the_first_imprecise_case(monkeypatch):
+    # Residue 3 of q = 7 is first met at m = -11 in the sweep -12..12.
+    real_totals = ramanujan._direct_totals
+
+    def off_at_7_3(q, residues):
+        totals = real_totals(q, residues)
+        if q == 7:
+            totals[residues == 3] += 1e-3j
+        return totals
+
+    monkeypatch.setattr(ramanujan, "_direct_totals", off_at_7_3)
+    with pytest.raises(PrecisionError) as info:
+        verification.verify_ramanujan(10, 12)
+    assert str(info.value) == "c_7(-11) residual 1.000e-03 >= 1e-6"
+
+
+def test_ramanujan_suite_one_residue_per_modulus_is_fast():
+    start = time.perf_counter()
+    report = verification.verify_ramanujan(2000, 0)
+    assert time.perf_counter() - start < 3
+    assert (report.cases_run, report.all_passed) == (2000, True)
 
 
 def test_parity_suite_counterexample_inventory():
