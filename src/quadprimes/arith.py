@@ -12,8 +12,10 @@ Key functions:
     next_prime_above(x): successor prime within the 64-bit range
 
 All functions are pure and deterministic.  Values above 2**64 - 1 are outside
-the supported domain; factorize rejects them, is_prime answers on a best-effort
-basis (its witness set is proven well past 2**64).
+the supported domain; factorize rejects them, the multiplicative functions
+reject those whose cofactor after trial division is composite and past 64
+bits, and is_prime answers on a best-effort basis (its witness set is proven
+well past 2**64).
 """
 from __future__ import annotations
 
@@ -182,6 +184,9 @@ def _factor_large(n: int, out: list[int]) -> None:
     if is_prime(n):
         out.append(n)
         return
+    if n > U64_MAX:
+        # Pollard rho on a composite past 64 bits has no useful time bound.
+        raise ValueError("factorization supports the 64-bit range only")
     root = math.isqrt(n)
     if root * root == n:
         # Perfect squares stall the rho cycle; split them directly.

@@ -78,6 +78,29 @@ def _prime_power_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, i
             yield (n, value, *pp)
 
 
+def _count_result(
+    spec: PolynomialSpec, n_max: int, hits: Iterator[tuple[int, int, int, int]], collect: bool
+) -> CountResult:
+    """Tally (n, f(n), base prime, exponent) hits: psi is the fsum of ln(base)."""
+    kept: list[tuple[int, int, int, int]] = []
+    log_terms: list[float] = []
+    prime_count = 0
+    for hit in hits:
+        _, _, base, exponent = hit
+        log_terms.append(math.log(base))
+        if exponent == 1:
+            prime_count += 1
+        if collect:
+            kept.append(hit)
+    return CountResult(
+        spec=spec,
+        n_max=n_max,
+        psi_value=math.fsum(log_terms),
+        prime_count=prime_count,
+        hits=tuple(kept) if collect else None,
+    )
+
+
 def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> CountResult:
     """Lambda-weighted count of prime-power values f(n) over odd n <= sqrt(x).
 
@@ -86,23 +109,7 @@ def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> Coun
     """
     require_admissible(spec, x)
     n_max = math.isqrt(x)
-    hits: list[tuple[int, int, int, int]] = []
-    log_terms: list[float] = []
-    prime_count = 0
-    for hit in _prime_power_hits(spec, n_max):
-        _, _, base, exponent = hit
-        log_terms.append(math.log(base))
-        if exponent == 1:
-            prime_count += 1
-        if collect_hits:
-            hits.append(hit)
-    return CountResult(
-        spec=spec,
-        n_max=n_max,
-        psi_value=math.fsum(log_terms),
-        prime_count=prime_count,
-        hits=tuple(hits) if collect_hits else None,
-    )
+    return _count_result(spec, n_max, _prime_power_hits(spec, n_max), collect_hits)
 
 
 def linear_psi_odd(spec: PolynomialSpec, X: int) -> tuple[float, float]:
@@ -125,20 +132,9 @@ def count_primes_poly(spec: PolynomialSpec, n_max: int) -> CountResult:
     the quadratic-to-linear machinery excludes q = 1.
     """
     require_range(spec, n_max, "n_max", n_max * n_max)
-    hits: list[tuple[int, int, int, int]] = []
-    log_terms: list[float] = []
-    for n in range(1, n_max + 1):
-        value = spec.value_at(n)
-        if value >= 2 and arith.is_prime(value):
-            hits.append((n, value, value, 1))
-            log_terms.append(math.log(value))
-    return CountResult(
-        spec=spec,
-        n_max=n_max,
-        psi_value=math.fsum(log_terms),
-        prime_count=len(hits),
-        hits=tuple(hits),
-    )
+    hits = ((n, value, value, 1) for n in range(1, n_max + 1)
+            if (value := spec.value_at(n)) >= 2 and arith.is_prime(value))
+    return _count_result(spec, n_max, hits, collect=True)
 
 
 def epsilon_factor(q: int) -> Fraction:

@@ -9,7 +9,8 @@ with 15 significant digits, dict key order is fixed by construction, and CSV
 uses LF line endings, so identical argv yields byte-identical bytes.
 
 Exit codes: 0 success (verifications all passing), 1 verification
-counterexample, 2 usage, capacity or output-file error.
+counterexample, 2 usage, capacity or output-file error, or a standard output
+that its reader closed.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -357,7 +359,15 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: an output error.  Point stdout at devnull
+        # so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -82,13 +82,13 @@ def _checked_phi(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> int:
 
 def _shift_coefficients(
     spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]
-) -> Iterator[tuple[int, float, int, int]]:
-    # (n, Lambda(q n + a), full, d) for each odd n <= x with nonzero weight:
+) -> Iterator[tuple[float, int, int]]:
+    # (Lambda(q n + a), full, d) for each odd n <= x with nonzero weight:
     # full is the sum of w * c_N(t - n) over points and d its diagonal
     # weight, so full - phi(N) * d drops the t = n terms.
     shift_sum = ramanujan.shift_sums(ctx, points)
     for n, lw in sieve.linear_lambda(spec, ctx.x):
-        yield (n, lw, *shift_sum(n))
+        yield (lw, *shift_sum(n))
 
 
 def rhs_linear_expansion(
@@ -105,28 +105,16 @@ def rhs_linear_expansion(
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
-    float_route = ((ctx.x + 1) // 2) * R * phi_n <= FLOAT_WORK_CAP and ctx.N <= FLOAT_TABLE_CAP
-
-    # The exact terms stream into one math.fsum; the (n, Lambda) pairs are
-    # kept only for a float route that will run.
-    weights: list[tuple[int, float]] = []
-    squares = [(1, s * s) for s in range(1, R + 1)]
-
-    def exact_terms() -> Iterator[float]:
-        for n, lw, full, _ in _shift_coefficients(spec, ctx, squares):
-            if float_route:
-                weights.append((n, lw))
-            if full:
-                yield full / phi_n * lw
-
-    rhs_exact = math.fsum(exact_terms())
-    if not float_route:
+    terms = _shift_coefficients(spec, ctx, [(1, s * s) for s in range(1, R + 1)])
+    rhs_exact = math.fsum(full / phi_n * lw for lw, full, _ in terms if full)
+    if ((ctx.x + 1) // 2) * R * phi_n > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
         return rhs_exact, None
 
     # Independent route on purpose: local tables, no shared Ramanujan code.
     # math.fsum reads the blocks of terms as one stream, so memory stays
     # bounded while each part is the correctly rounded sum of every term.
-    # The table cap keeps N <= 1e6, so shift * u stays far below 2**63.
+    # The work cap keeps x in the sieve segment the exact pass cached, and
+    # the table cap keeps N <= 1e6, so shift * u stays far below 2**63.
     N = ctx.N
     roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
     units = np.arange(1, N, dtype=np.int64)
@@ -135,7 +123,7 @@ def rhs_linear_expansion(
     step = max(1, _FLOAT_BLOCK // R)
 
     def blocks(table: np.ndarray) -> Iterator[list[float]]:
-        for n, lw in weights:
+        for n, lw in sieve.linear_lambda(spec, ctx.x):
             shifts = ((squares_arr - n) % N)[:, None]
             for start in range(0, coprime.size, step):
                 yield (lw * table[shifts * coprime[start:start + step] % N]).ravel().tolist()
@@ -162,7 +150,7 @@ def main_term_decomposition(
     m0_terms: list[float] = []
     m1_terms: list[float] = []
     window = [(1, s) for s in range(1, ctx.floor_sqrt_x + 1)]
-    for _, lw, full, d in _shift_coefficients(spec, ctx, window):
+    for lw, full, d in _shift_coefficients(spec, ctx, window):
         if d:
             m0_terms.append(lw)
         if coeff := full - phi_n * d:
@@ -204,7 +192,7 @@ def error_term_decomposition(
         raise CapacityError(f"error-term decomposition capped at x = {ERROR_TERM_X_CAP}")
     signed = [(arith.liouville(d), dm) for d, _, dm in dyadic_pairs(ctx.floor_sqrt_x)]
     E0 = math.fsum(lam * lambda_weight(spec.q * dm + spec.a) for lam, dm in signed if dm % 2)
-    e1_terms = [coeff * lw for _, lw, full, d in _shift_coefficients(spec, ctx, signed)
+    e1_terms = [coeff * lw for lw, full, d in _shift_coefficients(spec, ctx, signed)
                 if (coeff := full - phi_n * d)]
     E1 = math.fsum(e1_terms) / phi_n
     return E0, E1
@@ -227,5 +215,5 @@ def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> flo
         if w:
             weighted.append((w, s))
 
-    terms = [full * lw for _, lw, full, _ in _shift_coefficients(spec, ctx, weighted) if full]
+    terms = [full * lw for lw, full, _ in _shift_coefficients(spec, ctx, weighted) if full]
     return math.fsum(terms) / phi_n

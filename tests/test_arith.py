@@ -105,6 +105,18 @@ def test_factorize_rejects_out_of_range():
         arith.factorize(2**64)
 
 
+def test_factorization_past_64_bits_is_refused_before_pollard_rho():
+    # 2**64 + 1 = 274177 * 67280421310721 has no factor below the trial
+    # bound, so its cofactor is a composite beyond the 64-bit contract.
+    for function in (arith.mobius, arith.euler_phi, arith.liouville, arith.von_mangoldt):
+        with pytest.raises(ValueError, match="64-bit"):
+            function(2**64 + 1)
+    # Cofactors that are 1 or prime are still answered above 2**64.
+    assert arith.mobius(2**64) == 0
+    p = arith.LARGEST_U64_PRIME
+    assert arith.euler_phi(2 * p) == p - 1
+
+
 def test_prime_power_base():
     assert arith.prime_power_base(1) is None
     assert arith.prime_power_base(2) == (2, 1)

@@ -125,6 +125,29 @@ def test_count_primes_poly_general_spec():
     assert [h[0] for h in result.hits] == expected
 
 
+@pytest.mark.parametrize("q, a", [(1, 1), (4, 1), (2, 1), (3, 3), (2, 2), (1, -4), (1, 0), (1, -2)])
+@pytest.mark.parametrize("n_max", [1, 2, 10, 500, 10**4])
+def test_count_primes_poly_matches_a_literal_loop(q, a, n_max):
+    hits, logs = [], []
+    for n in range(1, n_max + 1):
+        value = q * n * n + a
+        if value >= 2 and arith.is_prime(value):
+            hits.append((n, value, value, 1))
+            logs.append(math.log(value))
+    result = asymptotics.count_primes_poly(_spec(q, a), n_max)
+    assert result.hits == tuple(hits)
+    assert result.prime_count == len(hits)
+    assert result.psi_value.hex() == math.fsum(logs).hex()
+
+
+def test_psi2_and_count_keep_their_bits():
+    psi2 = asymptotics.psi2_count(_spec(4, 1), 10**10)
+    assert psi2.psi_value.hex() == "0x1.0c2f0040816bfp+17"
+    count = asymptotics.count_primes_poly(_spec(1, 1), 3 * 10**5)
+    assert count.prime_count == 17924
+    assert count.psi_value.hex() == "0x1.92836940917b3p+18"
+
+
 def _is_prime_slow(n: int) -> bool:
     if n < 2:
         return False

@@ -292,13 +292,62 @@ print(json.dumps(results))
 """
 
 
+def _child_env(**env):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **env, "PYTHONPATH": package_root}
+
+
 def _fresh_process(requests, **env):
     """Each request's [exit code, stdout], from one new interpreter."""
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, **env, "PYTHONPATH": package_root}
     child = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, json.dumps(requests)],
-                           env=env, capture_output=True, check=True)
+                           env=_child_env(**env), capture_output=True, check=True)
     return json.loads(child.stdout)
+
+
+# The console script's entry point, run in a new interpreter.
+_MAIN = [sys.executable, "-c", "from quadprimes.cli import main; main()"]
+
+
+def test_factorization_past_64_bits_is_refused_not_run():
+    # q is the product of the two largest primes below 2**64: Pollard rho on
+    # this 128-bit semiprime would run without a useful bound.
+    q = (2**64 - 59) * (2**64 - 83)
+    child = subprocess.run([*_MAIN, "ramanujan", "--q", str(q), "--m", "1"], env=_child_env(),
+                           capture_output=True, timeout=5)
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr == b"error: factorization supports the 64-bit range only\n"
+
+
+def test_ramanujan_at_and_past_the_64_bit_edge(capsys):
+    # 2**64 has cofactor 1 after trial division, so it is answered; 2**64 + 1
+    # has a composite cofactor past the 64-bit contract and is refused.
+    code, out, _ = _run(capsys, ["ramanujan", "--q", str(2**64), "--m", "3", "--output", "json"])
+    assert code == 0 and json.loads(out)["result"]["value"] == 0
+    code, out, err = _run(capsys, ["ramanujan", "--q", str(2**64 + 1), "--m", "3"])
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    # The report, about 110 KB, outgrows a 64 KB pipe buffer, so the write
+    # meets the closed read end whatever the timing.
+    argv = ["count", "--q", "1", "--a", "1", "--n-max", "50000", "--output", "json"]
+    child = subprocess.Popen([*_MAIN, *argv], env=_child_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.read(10) == b'{\n  "comma'
+        child.stdout.close()
+        assert child.wait(timeout=30) == 2
+        assert child.stderr.read() == b""
+    finally:
+        child.kill()
+        child.stderr.close()
+
+
+def test_small_output_through_a_pipe_exits_zero():
+    argv = ["count", "--q", "1", "--a", "1", "--n-max", "10", "--output", "json"]
+    child = subprocess.run([*_MAIN, *argv], env=_child_env(), capture_output=True, timeout=30)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert json.loads(child.stdout)["result"]["prime_count"] == 5
 
 
 def test_output_is_byte_identical_across_hash_seeds():

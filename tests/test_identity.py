@@ -178,6 +178,15 @@ def test_rhs_float_is_correctly_rounded_sum_of_every_term():
     assert rhs_float.hex() == (math.fsum(terms) / len(units)).hex()
 
 
+def test_rhs_float_route_reads_the_sieve_the_exact_pass_cached():
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(1024)
+    sieve._one_segment_lambda.cache_clear()
+    rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    assert sieve._one_segment_lambda.cache_info().misses == 1
+    assert (rhs_exact.hex(), rhs_float.hex()) == ("0x1.da4b6ce94a063p+4", "0x1.da4b6ce949ef6p+4")
+
+
 def test_rhs_exact_matches_square_indicator_route_on_default_grid():
     for q, a in verification.IDENTITY_PAIRS:
         spec = identity.check_admissible(q, a)
