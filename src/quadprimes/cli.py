@@ -43,37 +43,30 @@ def _scalar(value: Any) -> str:
 
 
 def render_json(payload: Any) -> str:
-    """JSON with floats at 15 significant digits.
+    """`json.dumps(payload, indent=2)`, with the scalars written as `_scalar` writes them.
 
-    Floats are swapped for NUL-delimited tokens before encoding and the
-    tokens replaced by bare numerals afterwards; NUL cannot occur in real
-    payload strings, so the substitution is unambiguous.  JSON has no
-    numeral for nan or inf, so those become the strings "nan", "inf" and
-    "-inf", as the human output prints them.
+    One walk writes the layout.  Ints, bools and finite floats are bare, the
+    floats at 15 significant digits; nan, inf, -inf and Fractions have no JSON
+    numeral, so they are strings, as the human output prints them.  Dict keys
+    are str()'d; strings, None and anything else go to json.dumps, which
+    raises TypeError on what it cannot encode.
     """
-    tokens: dict[str, str] = {}
+    return _json(payload, "")
 
-    def convert(obj: Any) -> Any:
-        if isinstance(obj, bool):
-            return obj
-        if isinstance(obj, float):
-            if not math.isfinite(obj):
-                return format(obj, FLOAT_FORMAT)
-            token = f"\x00float{len(tokens)}\x00"
-            tokens[token] = format(obj, FLOAT_FORMAT)
-            return token
-        if isinstance(obj, Fraction):
-            return str(obj)
-        if isinstance(obj, dict):
-            return {str(k): convert(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        return obj
 
-    text = json.dumps(convert(payload), indent=2)
-    for token, numeral in tokens.items():
-        text = text.replace(json.dumps(token), numeral)
-    return text
+def _json(value: Any, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{json.dumps(str(k))}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
+        return _scalar(value)
+    if isinstance(value, (float, Fraction)):
+        return json.dumps(_scalar(value))
+    return json.dumps(value)
 
 
 def _human_lines(obj: Any, indent: int = 0):

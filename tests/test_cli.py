@@ -26,7 +26,7 @@ def test_render_json_float_precision():
     assert '"a": 0.3' in text
     assert '"b": [\n    1,\n    true,\n    null\n  ]' in text
     assert '"c": "1/2"' in text
-    # Output must stay valid JSON after the float substitution.
+    # Output must stay valid JSON with the floats written bare.
     assert json.loads(text) == {"a": 0.3, "b": [1.0, True, None], "c": "1/2"}
 
 
@@ -44,6 +44,66 @@ def test_render_json_non_finite_floats_parse_strictly():
 def test_render_json_fifteen_significant_digits():
     text = cli.render_json({"v": 15.118680070657573})
     assert '"v": 15.1186800706576' in text
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), "", 0, None, True, "plain",
+    {"a": {}, "b": [], "c": (), "d": [[]], "e": [{}]},
+    [[[[]]], ({"k": (1, (2, 3))},), {"deep": {"deeper": {"deepest": [None]}}}],
+    {"psi₂ ≈ √x": "é ψ ∑ \U0001f600", "ascii": "café"},
+    {"controls": "\x00\x01\x1f\x7f\n\t\r\b\f\"\\/", "\x00key\n": "  "},
+    {"big": 2**64 + 1, "neg": -(2**100), "ints": [0, -1, 2**63 - 1, 2**200]},
+    {"flags": [True, False, None], "t": True, "f": False, "n": None},
+    {1: "int key", "two": 2, -3: [True]},
+    {"inputs": {"q": 4, "a": 1, "x": 16}, "result": {"counterexamples": [
+        {"inputs": {"check": "rhs-exact-equals-lhs"}, "expected": "1/2", "got": 7}]}},
+])
+def test_render_json_is_json_dumps_without_floats(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("value, numeral", [
+    (0.1 + 0.2, "0.3"),
+    (15.118680070657573, "15.1186800706576"),
+    (1.0, "1"),
+    (-0.0, "-0"),
+    (1e300, "1e+300"),
+    (-2.5e-8, "-2.5e-08"),
+    (float("nan"), '"nan"'),
+    (float("inf"), '"inf"'),
+    (float("-inf"), '"-inf"'),
+    (Fraction(1, 2), '"1/2"'),
+    (Fraction(-3), '"-3"'),
+])
+def test_render_json_writes_scalar_numerals(value, numeral):
+    # Finite floats are bare, the rest are strings; the text is _scalar's.
+    assert numeral.strip('"') == cli._scalar(value)
+    assert cli.render_json({"v": value}) == '{\n  "v": ' + numeral + "\n}"
+    assert cli.render_json([value, (value,)]) == f"[\n  {numeral},\n  [\n    {numeral}\n  ]\n]"
+
+
+def test_render_json_leaves_strings_that_look_like_tokens_alone():
+    payload = {"a": 1.5, "b": "\x00float0\x00"}
+    assert json.loads(cli.render_json(payload)) == payload
+
+
+@pytest.mark.parametrize("payload", [{"a": object()}, [{1, 2}], {"b": b"bytes"}])
+def test_render_json_refuses_what_json_cannot_encode(payload):
+    with pytest.raises(TypeError):
+        cli.render_json(payload)
+
+
+def test_render_json_time_is_linear_in_the_floats():
+    # 24k floats: a render linear in the floats takes about 0.1 s.
+    rows = [{"x": i, "psi2": i / 3, "conjectured": i * 0.7, "ratio": 1 + i / 7}
+            for i in range(8000)]
+    start = time.perf_counter()
+    text = cli.render_json({"rows": rows})
+    assert time.perf_counter() - start < 2
+    assert json.loads(text)["rows"][7999] == {
+        "x": 7999, "psi2": float(format(7999 / 3, ".15g")),
+        "conjectured": float(format(7999 * 0.7, ".15g")),
+        "ratio": float(format(1 + 7999 / 7, ".15g"))}
 
 
 @pytest.mark.parametrize(
@@ -205,6 +265,26 @@ def test_compare_csv_path(tmp_path, capsys):
     )
     assert code == 0
     assert out == both.read_bytes().decode()
+
+
+def _numeral(value):
+    return format(value, ".15g") if isinstance(value, float) else str(value)
+
+
+def test_long_comparison_renders_json_as_fast_as_csv(capsys):
+    # 12,402 rows: JSON must cost about what CSV does, well under a second.
+    argv = ["compare", "--q", "4", "--a", "1", "--x-max", "10000000", "--steps", "20000"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv + ["--output", "json"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["result"]["rows"]
+    code, table, _ = _run(capsys, argv + ["--output", "csv"])
+    assert code == 0
+    header, *lines = table.splitlines()
+    assert header == "x,psi2,conjectured,ratio"
+    assert len(rows) == len(lines) > 10000
+    assert [",".join(_numeral(v) for v in row.values()) for row in rows] == lines
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])

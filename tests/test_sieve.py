@@ -11,12 +11,17 @@ import contextlib
 
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from quadprimes import arith, asymptotics, indicator, poly, sieve, verification
 
-from quadprimes import arith, asymptotics, indicator, poly, sieve, verification  # noqa: E402
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:
+    st = None
 
-DIFF = settings(deadline=None, derandomize=True, max_examples=60)
+# The two property tests build their strategies inside the test, so without
+# hypothesis only they skip; the pinned tests below run either way.
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+DIFF = dict(deadline=None, derandomize=True, max_examples=60)
 
 
 @contextlib.contextmanager
@@ -48,7 +53,6 @@ def _square_flags(limit: int) -> list[bool]:
     return flags
 
 
-@st.composite
 def _progressions(draw) -> tuple[poly.PolynomialSpec, int, int]:
     """An admissible spec, an x, and a segment length; with q + a < 1 in
     reach, and half the draws with values q n + a near 2**64."""
@@ -70,22 +74,31 @@ def _progressions(draw) -> tuple[poly.PolynomialSpec, int, int]:
     return spec, x, length
 
 
-@DIFF
-@given(_progressions())
-def test_linear_lambda_matches_per_value_weights(case):
-    spec, x, length = case
-    with _segment_length(length):
-        assert list(sieve.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
+@needs_hypothesis
+def test_linear_lambda_matches_per_value_weights():
+    @settings(**DIFF)
+    @given(st.composite(_progressions)())
+    def check(case):
+        spec, x, length = case
+        with _segment_length(length):
+            assert list(sieve.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
+
+    check()
 
 
-@DIFF
-@given(st.integers(1, 24), st.one_of(
-    st.integers(1, 400),
-    st.builds(lambda k, d: max(1, k + d), st.sampled_from((24, 48, 96)), st.sampled_from((-1, 0, 1))),
-))
-def test_square_flags_match_factorization_parity(length, limit):
-    with _segment_length(length):
-        assert _square_flags(limit) == _square_oracle(limit)
+@needs_hypothesis
+def test_square_flags_match_factorization_parity():
+    @settings(**DIFF)
+    @given(st.integers(1, 24), st.one_of(
+        st.integers(1, 400),
+        st.builds(lambda k, d: max(1, k + d), st.sampled_from((24, 48, 96)),
+                  st.sampled_from((-1, 0, 1))),
+    ))
+    def check(length, limit):
+        with _segment_length(length):
+            assert _square_flags(limit) == _square_oracle(limit)
+
+    check()
 
 
 @pytest.mark.parametrize("delta", (-1, 0, 1))
