@@ -10,7 +10,6 @@ measured psi2 against the predicted (c_f / 2) * sqrt(x) curve.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,6 +254,27 @@ def bateman_horn_constant(
     )
 
 
+def _add_exactly(partials: list[float], value: float) -> None:
+    """Add value to partials, a nonoverlapping expansion of an exact sum.
+
+    Shewchuk's grow-expansion step, as math.fsum keeps its partials: the
+    exact sum of partials gains exactly value, so math.fsum(partials) is the
+    correctly rounded sum of every value added.  J. R. Shewchuk, Discrete
+    Comput. Geom. 18 (1997).
+    """
+    i = 0
+    for other in partials:
+        if abs(value) < abs(other):
+            value, other = other, value
+        high = value + other
+        low = other - (high - value)
+        if low:
+            partials[i] = low
+            i += 1
+        value = high
+    partials[i:] = [value]
+
+
 def compare_asymptotic(
     spec: PolynomialSpec,
     x_max: int,
@@ -265,8 +285,10 @@ def compare_asymptotic(
 
     The constant is the hl-variant product at the given cutoff, the only
     convention that matches the stated numeric value for t^2 + 1.  The odd
-    n up to sqrt(x_max) are scanned once; each row's psi2 is the fsum of
-    its prefix of log terms, the same terms psi2_count(spec, x) sums.
+    n up to sqrt(x_max) are scanned once.  Each row's psi2 is the correctly
+    rounded sum of its prefix of log terms, the same terms psi2_count(spec,
+    x) sums, so the two agree bit for bit; a running exact sum makes the
+    table cost the scan plus the rows.
     """
     require_admissible(spec, x_max, "x_max")
     if steps < 1:
@@ -281,14 +303,18 @@ def compare_asymptotic(
     if xs[-1] != x_max:
         xs[-1] = x_max
 
-    hit_ns: list[int] = []
-    log_terms: list[float] = []
-    for n, _, base, _ in _prime_power_hits(spec, math.isqrt(x_max)):
-        hit_ns.append(n)
-        log_terms.append(math.log(base))
+    # One scan of the odd n up to sqrt(x_max), read row by row: the hits up
+    # to each row's sqrt(x) join one running exact sum of their log terms.
+    hits = _prime_power_hits(spec, math.isqrt(x_max))
+    hit = next(hits, None)
+    partials: list[float] = []
     rows: list[ComparisonRow] = []
     for x in xs:
-        psi = math.fsum(log_terms[: bisect.bisect_right(hit_ns, math.isqrt(x))])
+        n_max = math.isqrt(x)
+        while hit is not None and hit[0] <= n_max:
+            _add_exactly(partials, math.log(hit[2]))
+            hit = next(hits, None)
+        psi = math.fsum(partials)
         conjectured = 0.5 * constant * math.sqrt(x)
         rows.append(ComparisonRow(x=x, psi2=psi, conjectured=conjectured, ratio=psi / conjectured))
     return rows

@@ -31,8 +31,11 @@ FLOAT_WORK_CAP = 10**9
 # Entries per float-route table, about 33 MB at 33 bytes each.
 FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
-# Terms per block of the float route, so no block grows with N.
+# Indices per block of the float route, or N if that is larger.
 _FLOAT_BLOCK = 1 << 16
+# Multiplicities below this keep the products of _split's halves exact.
+_SPLIT_LIMIT = 1 << 26
+_HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
 
 
 def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.ModulusContext:
@@ -91,6 +94,17 @@ def _shift_coefficients(
         yield (lw, *shift_sum(n))
 
 
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == v exactly, hi being v with its low 27 significand bits cleared.
+
+    hi has at most 26 significant bits and lo at most 27, so for any integer
+    m < 2**26 both hi * m and lo * m are exact (short of overflow), and
+    hi * m + lo * m is exactly v * m.
+    """
+    hi = (v.view(np.uint64) & _HIGH_BITS).view(np.float64)
+    return hi, v - hi
+
+
 def rhs_linear_expansion(
     spec: PolynomialSpec, ctx: ramanujan.ModulusContext
 ) -> tuple[float, Optional[float]]:
@@ -99,9 +113,13 @@ def rhs_linear_expansion(
     Exact path: for each odd n <= x the inner double sum over s and u
     collapses to the integer phi(N) * [s^2 = n] + c_N(s^2 - n), so the term
     is Lambda(q n + a) times an exact rational coefficient.  Float path:
-    direct complex-exponential summation, each part one math.fsum over
-    every term; it runs only when the triple-sum size is within
-    FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None otherwise.
+    direct complex-exponential summation from an index histogram.  For each
+    n it counts how often each table index occurs, adds each distinct
+    term once with its count through an exact two-float split, and rounds
+    each part (imaginary, then real) once with math.fsum, so it is the
+    correctly rounded sum of every term.  It runs only when the triple-sum
+    size is within FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None
+    otherwise.
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
@@ -110,23 +128,40 @@ def rhs_linear_expansion(
     if ((ctx.x + 1) // 2) * R * phi_n > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
         return rhs_exact, None
 
-    # Independent route on purpose: local tables, no shared Ramanujan code.
-    # math.fsum reads the blocks of terms as one stream, so memory stays
-    # bounded while each part is the correctly rounded sum of every term.
-    # The work cap keeps x in the sieve segment the exact pass cached, and
-    # the table cap keeps N <= 1e6, so shift * u stays far below 2**63.
+    # Independent route on purpose: local tables and literal index counting,
+    # no shared Ramanujan code.  For each weighted n the indices
+    # (s^2 - n) * u mod N are counted, and each distinct product
+    # v = lw * table[k], the IEEE product a term-by-term sum would add,
+    # enters math.fsum once with its multiplicity m, as the exact pair
+    # hi * m, lo * m of _split.  Each part is thus still the correctly
+    # rounded sum of every term.  The work cap keeps x in the sieve segment
+    # the exact pass cached, and the table cap keeps N <= 1e6, so shift * u
+    # stays far below 2**63.
     N = ctx.N
     roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
     units = np.arange(1, N, dtype=np.int64)
     coprime = units[np.gcd(units, N) == 1]
     squares_arr = np.arange(1, R + 1, dtype=np.int64) ** 2
-    step = max(1, _FLOAT_BLOCK // R)
+    # A block of at least N indices amortises its N-long bincount.
+    step = max(1, max(_FLOAT_BLOCK, N) // R)
+
+    def multiplicities(n: int) -> tuple[np.ndarray, np.ndarray]:
+        shifts = ((squares_arr - n) % N)[:, None]
+        counts = np.zeros(N, dtype=np.int64)
+        for start in range(0, coprime.size, step):
+            counts += np.bincount((shifts * coprime[start:start + step] % N).ravel(), minlength=N)
+        k = np.flatnonzero(counts)
+        m = counts[k]
+        if m.max() >= _SPLIT_LIMIT:
+            raise PrecisionError(f"index multiplicity {m.max()} >= 2**26 in float path")
+        return k, m.astype(np.float64)
 
     def blocks(table: np.ndarray) -> Iterator[list[float]]:
         for n, lw in sieve.linear_lambda(spec, ctx.x):
-            shifts = ((squares_arr - n) % N)[:, None]
-            for start in range(0, coprime.size, step):
-                yield (lw * table[shifts * coprime[start:start + step] % N]).ravel().tolist()
+            k, m = multiplicities(n)
+            hi, lo = _split(lw * table[k])
+            yield (hi * m).tolist()
+            yield (lo * m).tolist()
 
     imag_total = math.fsum(chain.from_iterable(blocks(roots.imag))) / phi_n
     if abs(imag_total) >= 1e-6:
@@ -198,22 +233,30 @@ def error_term_decomposition(
     return E0, E1
 
 
+def divisor_weights(R: int) -> list[tuple[int, int]]:
+    """(w(s), s) for each s <= R with nonzero w, ascending s.
+
+    w(s) is the sum of liouville(d) over the divisors d > 1 of s, added
+    literally by walking the multiples of each d, O(R log R) in all.
+    """
+    weights = [0] * (R + 1)
+    for d in range(2, R + 1):
+        lam = arith.liouville(d)
+        for s in range(d, R + 1, d):
+            weights[s] += lam
+    return [(w, s) for s, w in enumerate(weights) if w]
+
+
 def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> float:
     """Error term evaluated directly from divisor weights, no reindexing.
 
     For each s the weight is the Liouville sum over divisors d > 1 of s,
-    computed literally.  Reconciling this against E0 + E1 checks the
-    reindexing step on its own.
+    computed literally by divisor_weights.  Reconciling this against
+    E0 + E1 checks the reindexing step on its own.
     """
     phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term total capped at x = {ERROR_TERM_X_CAP}")
-    # w(s) = sum of liouville(d) over divisors d of s with d > 1.
-    weighted = []
-    for s in range(1, ctx.floor_sqrt_x + 1):
-        w = sum(arith.liouville(d) for d in range(2, s + 1) if s % d == 0)
-        if w:
-            weighted.append((w, s))
-
+    weighted = divisor_weights(ctx.floor_sqrt_x)
     terms = [full * lw for lw, full, _ in _shift_coefficients(spec, ctx, weighted) if full]
     return math.fsum(terms) / phi_n

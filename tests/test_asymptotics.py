@@ -1,6 +1,7 @@
 """Counting runs, Euler products, and comparison tables."""
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,13 @@ import pytest
 
 from quadprimes import arith, asymptotics, identity
 from quadprimes.errors import CapacityError
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 FIXTURE = Path(__file__).parent / "data" / "a002496_prefix.txt"
 
@@ -346,6 +354,35 @@ def test_compare_rows_equal_psi2_count_bitwise(x_max, steps):
                 q, a, row.x)
     roots = [math.isqrt(row.x) for row in asymptotics.compare_asymptotic(_spec(4, 1), 100, 8)]
     assert len(set(roots)) < len(roots)
+
+
+def test_compare_rows_equal_prefix_fsums_bitwise():
+    # About 2,000 rows over 1,700 hits: each row's running exact sum must
+    # round as math.fsum over its whole prefix of log terms does.
+    spec = _spec(4, 1)
+    rows = asymptotics.compare_asymptotic(spec, 10**9, 3000, cutoff=100)
+    hits = asymptotics.psi2_count(spec, 10**9, collect_hits=True).hits
+    ns = [n for n, _, _, _ in hits]
+    logs = [math.log(base) for _, _, base, _ in hits]
+    assert len(rows) > 1000
+    for row in rows:
+        prefix = logs[: bisect.bisect_right(ns, math.isqrt(row.x))]
+        assert row.psi2.hex() == math.fsum(prefix).hex(), row.x
+
+
+@needs_hypothesis
+def test_running_exact_sum_rounds_like_fsum():
+    finite = st.floats(-1e300, 1e300, allow_nan=False)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.lists(st.one_of(finite, st.floats(-1e-300, 1e-300)), max_size=40))
+    def check(values: list[float]) -> None:
+        partials: list[float] = []
+        for i, value in enumerate(values):
+            asymptotics._add_exactly(partials, value)
+            assert math.fsum(partials).hex() == math.fsum(values[: i + 1]).hex()
+
+    check()
 
 
 def test_compare_asymptotic_validation():

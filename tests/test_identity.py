@@ -6,11 +6,20 @@ import hashlib
 import math
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadprimes import arith, identity, indicator, sieve, verification
-from quadprimes.errors import CapacityError, LemmaCounterexample
+from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 
 def test_check_admissible_flags():
@@ -187,6 +196,63 @@ def test_rhs_float_route_reads_the_sieve_the_exact_pass_cached():
     assert (rhs_exact.hex(), rhs_float.hex()) == ("0x1.da4b6ce94a063p+4", "0x1.da4b6ce949ef6p+4")
 
 
+def test_rhs_float_keeps_its_bits():
+    # rhs_float of every pair at each x = 16 .. 400 with even floor(sqrt(x)),
+    # in both regimes, and of (4, 1) at 1024 and 1296, pinned as the
+    # term-by-term math.fsum route gave them: counting the indices must not
+    # move a single ulp.
+    pairs = verification.IDENTITY_PAIRS + ((2, 3), (6, 1))
+    configs = [(q, a, r * r, regime) for regime in ("minimal", "inflated")
+               for q, a in pairs for r in range(4, 21, 2)]
+    configs += [(4, 1, 1024, "minimal"), (4, 1, 1296, "minimal")]
+    lines = []
+    for q, a, x, regime in configs:
+        spec = identity.check_admissible(q, a)
+        _, rhs_float = identity.rhs_linear_expansion(spec, identity.make_context(x, regime))
+        lines.append(f"{q},{a},{x},{regime}:{rhs_float.hex()}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest[:16] == "b067e0e7bd75798c"
+
+
+def _near_power_of_two(exponent: int, steps: int, negative: bool) -> float:
+    value = math.ldexp(1.0, exponent)
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, 0.0 if steps < 0 else math.inf)
+    return -value if negative else value
+
+
+@needs_hypothesis
+def test_split_times_any_multiplicity_is_exact():
+    # |v| <= 2**996 keeps v * m finite for every m < 2**26.
+    values = st.one_of(
+        st.floats(-(2.0**996), 2.0**996, allow_nan=False),
+        st.builds(_near_power_of_two, st.integers(-1074, 995), st.integers(-3, 3), st.booleans()),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]),
+    )
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(values, st.integers(1, identity._SPLIT_LIMIT - 1))
+    @example(math.nextafter(2.0, 0.0), identity._SPLIT_LIMIT - 1)
+    @example(-math.nextafter(2.0**-1022, 0.0), identity._SPLIT_LIMIT - 1)
+    def check(v: float, m: int) -> None:
+        hi, lo = identity._split(np.array([v]))
+        weight = np.float64(m)
+        assert Fraction(float(hi[0] * weight)) + Fraction(float(lo[0] * weight)) == Fraction(v) * m
+
+    check()
+
+
+def test_rhs_float_refuses_a_multiplicity_past_the_split(monkeypatch):
+    # At x = 16, n = 1 = 1^2 has weight ln 5, and its s = 1 shift sends all
+    # phi(N) = 16 units to index 0: a limit of 16 must stop the route.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(16)
+    assert arith.euler_phi(ctx.N) == 16
+    monkeypatch.setattr(identity, "_SPLIT_LIMIT", 16)
+    with pytest.raises(PrecisionError, match="multiplicity"):
+        identity.rhs_linear_expansion(spec, ctx)
+
+
 def test_rhs_exact_matches_square_indicator_route_on_default_grid():
     for q, a in verification.IDENTITY_PAIRS:
         spec = identity.check_admissible(q, a)
@@ -270,6 +336,15 @@ def test_error_term_reconciles_with_direct_route():
         E0, E1 = identity.error_term_decomposition(spec, ctx)
         total = identity.error_term_total(spec, ctx)
         assert abs((E0 + E1) - total) < 1e-12, (q, a, x)
+
+
+def test_divisor_weights_equal_the_square_indicator_minus_one():
+    # The sum of liouville(d) over all d | s is [s is a square], so the
+    # d > 1 part is that minus 1; the route adds the divisors literally.
+    R = 3000
+    expected = [(w, s) for s in range(1, R + 1) if (w := int(math.isqrt(s) ** 2 == s) - 1)]
+    assert identity.divisor_weights(R) == expected
+    assert identity.divisor_weights(1) == []
 
 
 def test_error_term_capacity_cap():
