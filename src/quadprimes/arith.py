@@ -40,8 +40,9 @@ TRIAL_DIVISION_BOUND = 4096
 # Sieve segment length.  Euler products hold about a dozen int64 and float64
 # temporaries per segment's primes, so the segment also bounds their memory:
 # at 2**17 the scale workload's peak stays below the 2**20 sieve's, with no
-# loss of speed at cutoff 1e8.
-_SEGMENT_SIZE = 1 << 17
+# loss of speed at cutoff 1e8.  An Euler product's table of character classes
+# is kept to at most this many entries too.
+SEGMENT_SIZE = 1 << 17
 
 # The 54 primes below 256 and their product.  One gcd with the product finds
 # every small prime factor at once; what it leaves has no prime factor below
@@ -407,7 +408,7 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     sieving = base.tolist()
     start = root + 1
     while start <= limit:
-        stop = min(start + _SEGMENT_SIZE, limit + 1)
+        stop = min(start + SEGMENT_SIZE, limit + 1)
         seg = np.ones(stop - start, dtype=bool)
         for p in sieving:
             first = ((start + p - 1) // p) * p

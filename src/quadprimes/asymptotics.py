@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -166,7 +166,10 @@ def _characters(m: int, primes: np.ndarray) -> np.ndarray:
     """Legendre symbols (m | p) for odd primes p below 2**27, by Euler's criterion.
 
     r**((p-1)/2) mod p is taken by square-and-multiply on every p at once;
-    each product of two residues stays below 2**54.
+    each product of two residues stays below 2**54.  Every character value
+    of an Euler product comes from here.  By Jacobi reciprocity (m | p)
+    depends only on p mod 4|m|, so _class_characters asks at one prime per
+    class while 4|m| <= arith.SEGMENT_SIZE, and at every prime otherwise.
     """
     base = _residues(m, primes)
     power = np.ones_like(primes)
@@ -176,6 +179,36 @@ def _characters(m: int, primes: np.ndarray) -> np.ndarray:
         base = base * base % primes
         exponent >>= 1
     return np.where(power == primes - 1, -1, power)
+
+
+def _class_characters(m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from a block of odd primes p below 2**27 to their (m | p).
+
+    By Jacobi reciprocity (m | p) depends only on p mod 4|m|, and a class
+    that shares a factor with m holds at most one prime.  So each class's
+    value is taken by _characters at the first prime of the class seen, kept
+    in a table of 4|m| entries, and read from it at every later prime.  The
+    table is kept only while 4|m| <= arith.SEGMENT_SIZE, so its bytes never
+    outnumber a sieve segment's flags; for m = 0 or a longer period every
+    prime goes through _characters.
+    """
+    period = 4 * abs(m)
+    if not 0 < period <= arith.SEGMENT_SIZE:
+        return lambda primes: _characters(m, primes)
+    unknown = 2
+    table = np.full(period, unknown, dtype=np.int8)
+
+    def characters(primes: np.ndarray) -> np.ndarray:
+        classes = primes % period
+        chi = table[classes]
+        missing = np.flatnonzero(chi == unknown)
+        if missing.size:
+            new, first = np.unique(classes[missing], return_index=True)
+            table[new] = _characters(m, primes[missing[first]])
+            chi = table[classes]
+        return chi
+
+    return characters
 
 
 def bateman_horn_constant(
@@ -193,7 +226,11 @@ def bateman_horn_constant(
     variant is kept as reported data.  The trace samples the partial
     product after each power of ten.
 
-    The primes come in sieve blocks.  Each factor is one IEEE operation on
+    The primes come in sieve blocks.  By Jacobi reciprocity chi(p) depends
+    only on p mod 4|a q|, so Euler's criterion runs once per class of that
+    period and a table serves the later primes, while 4|a q| <=
+    arith.SEGMENT_SIZE (see _class_characters); past that bound, or for
+    a = 0, it runs on every prime.  Each factor is one IEEE operation on
     exact integers, and np.multiply.accumulate multiplies strictly in
     sequence, so every partial product equals the prime-by-prime loop's.
     """
@@ -211,13 +248,14 @@ def bateman_horn_constant(
     marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
     mark_index = 0
     last_prime = 0
+    characters = _class_characters(-spec.a * spec.q)
 
     for block in arith.prime_blocks(cutoff):
         primes = block[block != 2]
         if not primes.size:
             continue
         as_float = primes.astype(np.float64)
-        chi = _characters(-spec.a * spec.q, primes).astype(np.float64)
+        chi = characters(primes).astype(np.float64)
         denominator = as_float if variant == "paper" else as_float - 1.0
         factors = np.where(
             _residues(spec.q, primes) == 0, as_float / (as_float - 1.0), 1.0 - chi / denominator

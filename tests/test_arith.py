@@ -249,7 +249,7 @@ def test_iter_primes_matches_list_sieve():
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 10, 120, 121,
-                                   arith._SEGMENT_SIZE + 1, 3 * arith._SEGMENT_SIZE + 5])
+                                   arith.SEGMENT_SIZE + 1, 3 * arith.SEGMENT_SIZE + 5])
 def test_prime_blocks_partition_the_list_sieve(limit):
     blocks = list(arith.prime_blocks(limit))
     assert all(block.dtype == np.int64 for block in blocks)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -254,13 +255,16 @@ def _bits(estimate, trace):
     return estimate.hex(), [(p, value.hex()) for p, value in trace]
 
 
+# The class table of -a*q has 4|a q| entries and is kept up to
+# arith.SEGMENT_SIZE of them: (1, 2**15) sits at that bound and (1, 2**15 + 1)
+# just past it.
 EULER_SPECS = [(1, 1), (4, 1), (2, 1), (3, 2), (15, 2), (30, 7)] + [
     (q, a) for q in (1, 6) for a in (0, -1, -3, 10**29 + 1)
-]
+] + [(1, arith.SEGMENT_SIZE // 4), (1, arith.SEGMENT_SIZE // 4 + 1)]
 
 
 @pytest.mark.parametrize("cutoff", [3, 10, 11, 97, 100, 10**4 + 7,
-                                    arith._SEGMENT_SIZE - 1, arith._SEGMENT_SIZE + 1])
+                                    arith.SEGMENT_SIZE - 1, arith.SEGMENT_SIZE + 1])
 def test_euler_product_blocks_match_scalar_loop_bitwise(cutoff):
     for q, a in EULER_SPECS:
         spec = identity.check_admissible(q, a)
@@ -273,7 +277,7 @@ def test_euler_product_blocks_match_scalar_loop_bitwise(cutoff):
 
 def test_euler_product_carries_the_product_across_segments():
     spec = identity.check_admissible(1, 1)
-    cutoff = 3 * arith._SEGMENT_SIZE
+    cutoff = 3 * arith.SEGMENT_SIZE
     assert sum(1 for _ in arith.prime_blocks(cutoff)) == 4
     expected = _scalar_euler_products(spec, cutoff)
     for variant in ("hl", "paper"):
@@ -290,22 +294,97 @@ def test_residues_and_characters_are_exact_for_unbounded_integers():
         assert characters.tolist() == [arith.jacobi(m % p, p) for p in primes.tolist()], m
 
 
-def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
+# sha256 of the .hex() of estimate and trace, recorded before the class table
+# of characters: the benchmark's products, past the scalar loop's cutoffs.
+EULER_DIGESTS = {
+    (1, 1, "hl", 10**6): "24c2f9eea6826654",
+    (1, 1, "paper", 10**6): "61e6ed828d6af8a6",
+    (4, 1, "hl", 10**6): "24c2f9eea6826654",
+    (4, 1, "paper", 10**6): "2a5c40be0c202324",
+    (2, 1, "hl", 10**6): "1cc43bce62cddcd8",
+    (2, 1, "paper", 10**6): "6e46dc31bb803049",
+    (3, 2, "hl", 10**6): "5d54f67f11883f40",
+    (3, 2, "paper", 10**6): "6967407a01b6ceb4",
+    (1, 1, "hl", 3 * 10**6): "f0576e1dd87ed3c4",
+    (1, 1, "paper", 3 * 10**6): "bb61e9e90eba2213",
+}
+
+
+def test_euler_products_keep_their_bits_at_large_cutoffs():
+    for (q, a, variant, cutoff), digest in EULER_DIGESTS.items():
+        report = asymptotics.bateman_horn_constant(_spec(q, a), cutoff, variant)
+        text = repr(_bits(report.estimate, report.trace))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (q, a, variant, cutoff)
+
+
+# The last three have 4|m| at arith.SEGMENT_SIZE, 4 above and 4 below it.
+@pytest.mark.parametrize("m", [0, 1, -1, -4, -24, 10**29 + 1, -(3**90), -(arith.SEGMENT_SIZE // 4),
+                               arith.SEGMENT_SIZE // 4 + 1, -(arith.SEGMENT_SIZE // 4 - 1)])
+def test_class_characters_match_euler_criterion_and_jacobi(m, monkeypatch):
     real_characters = asymptotics._characters
+    passed = []
+
+    def spy(m, primes):
+        passed.extend(primes.tolist())
+        return real_characters(m, primes)
+
+    monkeypatch.setattr(asymptotics, "_characters", spy)
+    characters = asymptotics._class_characters(m)
+    blocks = [block[block != 2] for block in arith.prime_blocks(2 * arith.SEGMENT_SIZE + 1000)]
+    assert len(blocks) == 4
+    for primes in blocks:
+        got = characters(primes).tolist()
+        assert got == real_characters(m, primes).tolist(), m
+        assert got == [arith.jacobi(m % p, p) for p in primes.tolist()], m
+    period = 4 * abs(m)
+    if 0 < period <= arith.SEGMENT_SIZE:
+        # Euler's criterion runs at most once per class of p mod 4|m|.
+        assert len({p % period for p in passed}) == len(passed) <= period, m
+    else:
+        assert sorted(passed) == [p for primes in blocks for p in primes.tolist()], m
+
+
+def test_euler_product_takes_each_class_once(monkeypatch):
+    real_characters = asymptotics._characters
+    counts = []
+
+    def spy(m, primes):
+        counts.append(primes.size)
+        return real_characters(m, primes)
+
+    monkeypatch.setattr(asymptotics, "_characters", spy)
+    # -a*q = -1: Euler's criterion runs at most once per class of p mod 4,
+    # not once per prime of the million.
+    asymptotics.bateman_horn_constant(_spec(1, 1), 10**6, "hl")
+    assert sum(counts) <= 4
+    # A period of 4 * (2**15 + 1) is past the bound: every odd prime runs it.
+    counts.clear()
+    asymptotics.bateman_horn_constant(_spec(1, arith.SEGMENT_SIZE // 4 + 1), 10**5, "hl")
+    assert sum(counts) == len(arith.primes_up_to(10**5)) - 1
+
+
+def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
+    real_class_characters = asymptotics._class_characters
     spec = identity.check_admissible(1, 1)
 
-    def flipped(m, primes):
-        return -real_characters(m, primes)
+    def flipped(m):
+        characters = real_class_characters(m)
+        return lambda primes: -characters(primes)
 
-    monkeypatch.setattr(asymptotics, "_characters", flipped)
+    monkeypatch.setattr(asymptotics, "_class_characters", flipped)
     with pytest.raises(ArithmeticError, match=r"^factor 0\.5 on wrong side of 1 at p=3$"):
         asymptotics.bateman_horn_constant(spec, 100, "hl")
     # A flip only past 1000 is caught in a later sieve block, at p = 1009.
-    def flipped_late(m, primes):
-        chi = real_characters(m, primes)
-        return np.where(primes > 1000, -chi, chi)
+    def flipped_late(m):
+        characters = real_class_characters(m)
 
-    monkeypatch.setattr(asymptotics, "_characters", flipped_late)
+        def flip(primes):
+            chi = characters(primes)
+            return np.where(primes > 1000, -chi, chi)
+
+        return flip
+
+    monkeypatch.setattr(asymptotics, "_class_characters", flipped_late)
     message = f"factor {1.0 + 1 / 1008} on wrong side of 1 at p=1009"
     with pytest.raises(ArithmeticError) as caught:
         asymptotics.bateman_horn_constant(spec, 10**4, "hl")
