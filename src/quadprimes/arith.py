@@ -7,6 +7,7 @@ Key functions:
     von_mangoldt(n): Lambda(n) = ln p when n = p**k, else 0.0
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
+    power_mod(base, exponent, modulus): elementwise modular powers of int64 arrays
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
     prime_blocks(limit): the segmented sieve's primes as int64 arrays
     next_prime_above(x): successor prime within the 64-bit range
@@ -27,6 +28,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 U64_MAX = 2**64 - 1
+I64_MAX = 2**63 - 1
 
 # Largest prime below 2**64.  next_prime_above cannot pass it without leaving
 # the 64-bit contract.
@@ -369,6 +371,21 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """base**exponent % modulus elementwise, by square-and-multiply on int64.
+
+    Exact while every modulus**2 < 2**63: each product of two residues stays
+    below it.  Exponents are >= 0; the arguments broadcast.
+    """
+    base = base % modulus
+    power = np.ones_like(base)
+    for _ in range(int(np.max(exponent, initial=0)).bit_length()):
+        power = np.where((exponent & 1) == 1, power * base % modulus, power)
+        base = base * base % modulus
+        exponent = exponent >> 1
+    return power
 
 
 # --------------------------------------------------------------------------- #

@@ -157,6 +157,27 @@ def test_psi2_and_count_keep_their_bits():
     assert count.psi_value.hex() == "0x1.92836940917b3p+18"
 
 
+# psi2 past the benchmark's scale, recorded with the per-value scan before
+# the sieve took these scans over: (q, a, x) -> (psi_value.hex(), prime_count).
+NEW_SCALE_PSI2 = {
+    (4, 1, 10**11): ("0x1.a914176478955p+18", 17752),
+    (4, 1, 10**12): ("0x1.4f05220696dc2p+20", 51140),
+    (2, -1, 10**10): ("0x1.6b990695d8c3ep+17", 8663),
+    (3, 2, 10**10): ("0x1.a5de023d6be6bp+16", 4929),
+}
+
+
+def test_psi2_and_compare_keep_their_bits_at_new_scales():
+    for (q, a, x), expected in NEW_SCALE_PSI2.items():
+        result = asymptotics.psi2_count(_spec(q, a), x)
+        assert (result.psi_value.hex(), result.prime_count) == expected, (q, a, x)
+    # sha256 of every row's x and float bits, recorded the same way.
+    rows = asymptotics.compare_asymptotic(_spec(4, 1), 10**12, 64)
+    text = repr([(r.x, r.psi2.hex(), r.conjectured.hex(), r.ratio.hex()) for r in rows])
+    assert len(rows) == 63
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e38ab2ef8be07cd1"
+
+
 def _is_prime_slow(n: int) -> bool:
     if n < 2:
         return False

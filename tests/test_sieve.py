@@ -1,14 +1,18 @@
-"""The segment sieve against its per-value oracles, and the routes that read it.
+"""The segment sieves against their per-value oracles, and the routes that read them.
 
 poly.lambda_weight (one factorization per value) is the oracle of
-sieve.linear_lambda, and indicator.square_char_liouville of
-sieve.square_flags.  Short segments make every draw cross several segment
-boundaries; the tests at the real SEGMENT_LENGTH cover its edges once.
+sieve.linear_lambda, indicator.square_char_liouville of sieve.square_flags,
+and asymptotics._per_value_hits (arith.prime_power_base per value) of
+sieve.prime_power_values.  Short segments make every draw cross several
+segment boundaries; the tests at the real segment lengths cover their edges
+once.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 
+import numpy as np
 import pytest
 
 from quadprimes import arith, asymptotics, indicator, poly, sieve, verification
@@ -18,7 +22,7 @@ try:
 except ImportError:
     st = None
 
-# The two property tests build their strategies inside the test, so without
+# The three property tests build their strategies inside the test, so without
 # hypothesis only they skip; the pinned tests below run either way.
 needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 DIFF = dict(deadline=None, derandomize=True, max_examples=60)
@@ -142,3 +146,203 @@ def test_linear_psi_odd_reads_the_sieve(monkeypatch, q, a, expected):
     sieve._one_segment_lambda.cache_clear()
     value, _ = asymptotics.linear_psi_odd(poly.check_admissible(q, a), 10**4)
     assert value.hex() == expected
+
+
+# The quadratic engine against the per-value scan (asymptotics._per_value_hits,
+# one arith.prime_power_base call per value).  Among the specs: f < 2 at small
+# n, primes dividing a (3 and 5 in 2n^2 + 15, 3 in 4n^2 + 9), odd q with two
+# primes (15, 21), prime squares (2n^2 - 1 = 49 = 7^2 at n = 5, 1681 = 41^2 at
+# n = 29) and a q past the sieve's reach (1000003), whose unsieved values go
+# to prime_power_base.
+QUADRATIC_SPECS = [(4, 1), (2, 1), (3, 2), (1, 2), (2, -1), (1, -2), (2, -5), (4, -3),
+                   (3, -10), (2, -101), (15, 2), (21, -4), (2, 15), (4, 9), (1000003, 2)]
+
+
+def _both_routes(spec: poly.PolynomialSpec, n_max: int):
+    """CountResults of the sieve and of the per-value scan over odd n <= n_max."""
+    return tuple(asymptotics._count_result(spec, n_max, hits, collect=True) for hits in (
+        sieve.prime_power_values(spec, n_max), asymptotics._per_value_hits(spec, n_max)))
+
+
+def _assert_routes_agree(spec: poly.PolynomialSpec, n_max: int) -> None:
+    fast, slow = _both_routes(spec, n_max)
+    assert fast.hits == slow.hits, (spec.q, spec.a, n_max)
+    assert fast.psi_value.hex() == slow.psi_value.hex()
+
+
+@pytest.mark.parametrize("length", (64, None))
+def test_prime_power_values_match_the_per_value_scan(monkeypatch, length):
+    if length:
+        monkeypatch.setattr(sieve, "QUADRATIC_SEGMENT_LENGTH", length)
+    for q, a in QUADRATIC_SPECS:
+        spec = poly.check_admissible(q, a)
+        assert spec.admissible, (q, a)
+        for n_max in (1, 2, 7, 10, 29, 100, 1000, 10**4):
+            _assert_routes_agree(spec, n_max)
+    hits = _both_routes(poly.check_admissible(2, -1), 29)[0].hits
+    assert (5, 49, 7, 2) in hits and (29, 1681, 41, 2) in hits
+
+
+def test_prime_power_values_past_the_prime_cap(monkeypatch):
+    # With the sieving primes cut at 50, a value with no prime up to 47 and
+    # above 51**2 goes to prime_power_base.
+    monkeypatch.setattr(sieve, "QUADRATIC_PRIME_CAP", 50)
+    for q, a in QUADRATIC_SPECS:
+        _assert_routes_agree(poly.check_admissible(q, a), 3001)
+
+
+def test_prime_power_values_at_scale():
+    _assert_routes_agree(poly.check_admissible(4, 1), math.isqrt(10**9))
+
+
+@pytest.mark.parametrize("length, k", [(64, 1), (64, 2), (64, 3), (None, 1)])
+def test_prime_power_values_at_segment_edges(monkeypatch, length, k):
+    if length:
+        monkeypatch.setattr(sieve, "QUADRATIC_SEGMENT_LENGTH", length)
+    edge = 2 * k * sieve.QUADRATIC_SEGMENT_LENGTH  # odd n <= edge - 1 fill k segments
+    for q, a in ((4, 1), (2, -5), (15, 2)):
+        for n_max in (edge - 3, edge - 1, edge + 1):
+            _assert_routes_agree(poly.check_admissible(q, a), n_max)
+
+
+@pytest.fixture
+def sieved(monkeypatch) -> list[int]:
+    """The n_max of every call to sieve.prime_power_values in the test."""
+    calls: list[int] = []
+    real = sieve.prime_power_values
+
+    def spy(spec, n_max):
+        calls.append(n_max)
+        return real(spec, n_max)
+
+    monkeypatch.setattr(sieve, "prime_power_values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_max, sieves", [(4093, False), (4095, True)])
+def test_psi2_sieves_from_the_crossover(sieved, n_max, sieves):
+    # 4093 holds 2,047 odd n and 4095 holds 2,048.
+    assert ((n_max + 1) // 2 >= asymptotics._SIEVE_MIN_ODD_N) == sieves
+    for q, a in ((4, 1), (2, -1)):
+        spec = poly.check_admissible(q, a)
+        routed = asymptotics.psi2_count(spec, n_max * n_max, collect_hits=True)
+        slow = asymptotics._count_result(
+            spec, n_max, asymptotics._per_value_hits(spec, n_max), collect=True)
+        assert routed == slow
+        assert routed.psi_value.hex() == slow.psi_value.hex()
+    assert sieved == ([n_max, n_max] if sieves else [])
+
+
+def test_psi2_scans_per_value_past_int64(sieved):
+    # q n^2 + 2 fits in int64 up to n = 4999 and passes it at 5001.  At 4999
+    # the square root of f is 3e9, so the sieving primes stop at 32 times the
+    # 2,500 odd n.
+    q = arith.I64_MAX // 5000**2 - 1
+    spec = poly.check_admissible(q, 2)
+    assert spec.admissible and q * 4999**2 + 2 <= arith.I64_MAX < q * 5001**2 + 2
+    for n_max in (4999, 5001):
+        routed = asymptotics.psi2_count(spec, n_max * n_max, collect_hits=True)
+        assert routed.hits == tuple(asymptotics._per_value_hits(spec, n_max))
+    assert sieved == [4999]
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        next(sieve.prime_power_values(spec, 5001))
+
+
+def _quadratics(draw) -> tuple[poly.PolynomialSpec, int]:
+    """An admissible spec and an n_max, with f < 2 at small n in reach and half
+    the draws with q n_max^2 + |a| near 2**63 - 1."""
+    n_max = draw(st.one_of(
+        st.integers(1, 400),
+        # odd n <= 128 k - 1 fill k segments of 64
+        st.builds(lambda k, d: 128 * k + d, st.integers(1, 4), st.sampled_from((-3, -1, 1))),
+    ))
+    a = draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        top = (arith.I64_MAX - abs(a)) // (n_max * n_max)
+        q = draw(st.integers(max(1, top - 2**20), top))
+    else:
+        q = draw(st.integers(1, 60))
+    spec = poly.check_admissible(q, a)
+    assume(spec.admissible)
+    return spec, n_max
+
+
+@needs_hypothesis
+def test_prime_power_values_match_per_value_property(monkeypatch):
+    monkeypatch.setattr(sieve, "QUADRATIC_SEGMENT_LENGTH", 64)
+
+    @settings(**DIFF)
+    @given(st.composite(_quadratics)())
+    def check(case):
+        _assert_routes_agree(*case)
+
+    check()
+
+
+# (q, a) for the roots of q t^2 + a: with a = 0 and primes dividing a (root 0
+# only), q with odd prime factors (no roots there), and |a| near 2**62.
+ROOT_SPECS = [(4, 1), (1, 1), (2, -1), (3, 2), (15, 2), (2, 15), (1, 0), (7, -2), (1000003, 2),
+              (1, -(2**62) - 1), (2**40, 3**25)]
+
+
+def _roots(q: int, a: int, bound: int) -> dict[int, list[int]]:
+    found: dict[int, list[int]] = {}
+    for primes, roots in sieve._quadratic_roots(q, a, bound):
+        for p, t in zip(primes.tolist(), roots.tolist()):
+            found.setdefault(p, []).append(t)
+    return found
+
+
+@pytest.mark.parametrize("q, a", ROOT_SPECS)
+def test_quadratic_roots_match_brute_force(q, a):
+    found = _roots(q, a, 2000)
+    for p in arith.primes_up_to(2000)[1:]:
+        brute = [t for t in range(p) if (q * t * t + a) % p == 0]
+        assert sorted(found.get(p, [])) == brute, (q, a, p)
+    assert set(found) <= set(arith.primes_up_to(2000)[1:])
+
+
+@pytest.mark.parametrize("q, a", ROOT_SPECS)
+def test_quadratic_roots_solve_their_congruence(q, a):
+    found = _roots(q, a, 3 * 10**5)
+    assert all((q * t * t + a) % p == 0 for p, roots in found.items() for t in roots)
+    assert all(len(roots) <= 2 for roots in found.values())
+
+
+def test_square_roots_near_the_int64_reach():
+    # p*p just below 2**63, and primes with p - 1 divisible by 2**23 to 2**27.
+    primes = [arith.next_prime_above(3037000499 - 600 * k) for k in range(1, 6)]
+    primes += [998244353, 469762049, 2013265921]
+    rng = np.random.default_rng(18)
+    for p in primes:
+        assert p * p <= arith.I64_MAX
+        c = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
+        square, t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64))
+        for ci, si, ti in zip(c.tolist(), square.tolist(), t.tolist()):
+            assert si == (pow(ci, (p - 1) // 2, p) == 1), (p, ci)
+            if si:
+                assert ti * ti % p == ci, (p, ci)
+
+
+def test_corrupted_root_raises_at_its_first_hit(monkeypatch):
+    # One root of 1009 moved by one: the hits before the segment of its first
+    # hit come out as the per-value scan's, then the sieve refuses.
+    real = sieve._quadratic_roots
+    moved = _roots(4, 1, 1009)[1009][0] + 1
+
+    def corrupted(q, a, bound):
+        for primes, roots in real(q, a, bound):
+            roots = roots.copy()
+            roots[np.flatnonzero(primes == 1009)[:1]] += 1
+            yield primes, roots
+
+    monkeypatch.setattr(sieve, "_quadratic_roots", corrupted)
+    monkeypatch.setattr(sieve, "QUADRATIC_SEGMENT_LENGTH", 64)
+    spec = poly.check_admissible(4, 1)
+    first_hit = next(n for n in range(1, 2019, 2) if n % 1009 == moved)
+    seen = []
+    with pytest.raises(ArithmeticError, match="misses its prime"):
+        seen.extend(sieve.prime_power_values(spec, 3001))
+    segment_start = first_hit - first_hit % 128 + 1  # odd n of 64-value segments
+    oracle = [hit for hit in asymptotics._per_value_hits(spec, 3001) if hit[0] < segment_start]
+    assert seen == oracle
