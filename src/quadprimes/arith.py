@@ -8,6 +8,7 @@ Key functions:
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
     power_mod(base, exponent, modulus): elementwise modular powers of int64 arrays
+    ExactSum: correctly rounded sum of float64 arrays in integer exponent bins
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
     prime_blocks(limit): the segmented sieve's primes as int64 arrays
     next_prime_above(x): successor prime within the 64-bit range
@@ -386,6 +387,88 @@ def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np
         base = base * base % modulus
         exponent = exponent >> 1
     return power
+
+
+# --------------------------------------------------------------------------- #
+# exact summation
+# --------------------------------------------------------------------------- #
+
+# Values per flush of an ExactSum.  A flush's bincount adds at most this
+# many 27-bit halves into a float64 bin, far below the 2**26 at which such
+# a sum could leave the exact integers.
+EXACT_SUM_BATCH = 8192
+# frexp's exponents of finite doubles run from -1073 up to 1024; bin 0 holds
+# units of 2**(_LEAST_EXPONENT - 53), the least bit of a subnormal.
+_LEAST_EXPONENT = -1073
+_EXACT_BINS = 1024 - _LEAST_EXPONENT + 27
+# Each value adds at most 2**27 in magnitude to any int64 bin, so 2**35
+# values keep every bin within 2**62.  The float route of the identity adds
+# fewer than 2**32 (two per term at most, FLOAT_WORK_CAP = 1e9 terms), and a
+# psi2 tally one per odd n below 2**32.
+_EXACT_SUM_MAX_VALUES = 1 << 35
+
+
+class ExactSum:
+    """The exact sum of finite float64 values, rounded once by value().
+
+    Each value is split by np.frexp into a 53-bit integer significand and an
+    exponent, and the significand into a 26-bit low half and a 27-bit high
+    half; np.bincount adds each half into the int64 bin of its least bit's
+    exponent (R. M. Neal, Fast exact summation using small and large
+    superaccumulators, arXiv:1505.05571).  value() adds the bins as one
+    Python int and divides once by a power of two, and Python's int
+    division rounds correctly, half to even, so the result is the
+    correctly rounded sum of every value, as math.fsum gives it.  Values
+    are binned EXACT_SUM_BATCH at a time; at most 2**35 may be added.
+    """
+
+    def __init__(self) -> None:
+        self._bins = np.zeros(_EXACT_BINS, dtype=np.int64)
+        self._pending: list[np.ndarray] = []
+        self._pending_size = 0
+        self._added = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Add a float64 array of finite values."""
+        self._pending.append(values)
+        self._pending_size += values.size
+        if self._pending_size >= EXACT_SUM_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        values = np.concatenate(self._pending)
+        self._pending, self._pending_size = [], 0
+        self._added += values.size
+        if self._added > _EXACT_SUM_MAX_VALUES:
+            raise OverflowError(f"ExactSum holds at most {_EXACT_SUM_MAX_VALUES} values")
+        for start in range(0, values.size, EXACT_SUM_BATCH):
+            # |mantissa| is 0 or in [1/2, 1), so scaled is 0 or in [2**26,
+            # 2**27) in magnitude: its floor is the high half, and scaled -
+            # high, exact, is the low half over 2**26.
+            mantissa, exponent = np.frexp(values[start:start + EXACT_SUM_BATCH])
+            scaled = mantissa * 2.0**27
+            high = np.floor(scaled)
+            low = (scaled - high) * 2.0**26
+            least = int(exponent.min())
+            bins = exponent - np.int32(least)
+            least -= _LEAST_EXPONENT
+            low = np.bincount(bins, weights=low).astype(np.int64)
+            high = np.bincount(bins, weights=high).astype(np.int64)
+            self._bins[least:least + low.size] += low
+            self._bins[least + 26:least + 26 + high.size] += high
+
+    def value(self) -> float:
+        """The correctly rounded sum of every value added, 0.0 if it is zero."""
+        self._flush()
+        used = np.flatnonzero(self._bins)
+        if not used.size:
+            return 0.0
+        least = int(used[0])
+        total = sum(int(self._bins[i]) << (int(i) - least) for i in used)
+        scale = least + _LEAST_EXPONENT - 53
+        return total / (1 << -scale) if scale < 0 else float(total << scale)
 
 
 # --------------------------------------------------------------------------- #

@@ -101,21 +101,35 @@ def _per_value_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int
 def _count_result(
     spec: PolynomialSpec, n_max: int, hits: Iterator[tuple[int, int, int, int]], collect: bool
 ) -> CountResult:
-    """Tally (n, f(n), base prime, exponent) hits: psi is the fsum of ln(base)."""
+    """Tally (n, f(n), base prime, exponent) hits: psi is the exact sum of
+    ln(base), rounded once.
+
+    The log terms go to an arith.ExactSum arith.EXACT_SUM_BATCH at a time,
+    so a long tally holds one batch of them, not all; a tally that never
+    fills a batch is one math.fsum, as cheap as a short tally was.  Both
+    give the correctly rounded sum.
+    """
     kept: list[tuple[int, int, int, int]] = []
     log_terms: list[float] = []
+    total: Optional[arith.ExactSum] = None
     prime_count = 0
     for hit in hits:
         _, _, base, exponent = hit
         log_terms.append(math.log(base))
+        if len(log_terms) == arith.EXACT_SUM_BATCH:
+            total = total or arith.ExactSum()
+            total.add(np.array(log_terms))
+            log_terms.clear()
         if exponent == 1:
             prime_count += 1
         if collect:
             kept.append(hit)
+    if total is not None:
+        total.add(np.array(log_terms))
     return CountResult(
         spec=spec,
         n_max=n_max,
-        psi_value=math.fsum(log_terms),
+        psi_value=math.fsum(log_terms) if total is None else total.value(),
         prime_count=prime_count,
         hits=tuple(kept) if collect else None,
     )
@@ -330,6 +344,61 @@ def _add_exactly(partials: list[float], value: float) -> None:
     partials[i:] = [value]
 
 
+def _schedule(x_max: int, steps: int) -> list[int]:
+    """The rows of a comparison table: each new value of round(x_max ** (i /
+    steps)), i = 1 .. steps, in order, the last one set to x_max.
+
+    Values repeat in runs when steps is large against ln x_max, and the
+    loop jumps over each run instead of taking every i.  After a value v,
+    x_max ** (i / steps) reaches v + 1/2, the least that can round above
+    v, no earlier than i = steps ln(v + 1/2) / ln x_max.  The estimate and
+    the power are each within a few ulps, at most steps * 2**-47 in i, so a
+    margin of 2 + steps * 2**-40 below it is still inside the run.  At a
+    repeat of v the loop takes the next i, or, if the margin's point lies
+    further on, jumps there and takes the literal formula at strides 1, 2,
+    4, ... until a value passes v, and finds the first such i by
+    bisection, which reads the power as nondecreasing in i, as a
+    correctly rounded pow is.  Below steps = 2**40 the margin is 2, and
+    the run ends within the first stride or two.
+    """
+    if x_max == 1:
+        return [1]
+    log_max = math.log(x_max)
+    margin = 2 + (steps >> 40)
+
+    def row(i: int) -> int:
+        return round(x_max ** (i / steps))
+
+    xs = [row(1)]
+    below = 1  # row(below) <= xs[-1] throughout
+    while below < steps:
+        below += 1
+        x = row(below)
+        last = xs[-1]
+        if x > last:
+            xs.append(x)
+            continue
+        jump = math.floor(steps * math.log(last + 0.5) / log_max) - margin
+        if jump <= below + 1:
+            continue
+        stride, below, above = 1, jump, jump + 1
+        while above <= steps and row(above) <= last:
+            below, stride = above, 2 * stride
+            above = below + stride
+        above = min(above, steps + 1)
+        while above - below > 1:
+            middle = (below + above) // 2
+            if row(middle) <= last:
+                below = middle
+            else:
+                above = middle
+        if above <= steps:
+            xs.append(row(above))
+        below = above
+    xs[-1] = x_max
+    return xs
+
+
 def compare_asymptotic(
     spec: PolynomialSpec,
     x_max: int,
@@ -350,13 +419,7 @@ def compare_asymptotic(
         raise ValueError("steps must be >= 1")
 
     constant = bateman_horn_constant(spec, cutoff, "hl").estimate
-    xs: list[int] = []
-    for i in range(1, steps + 1):
-        x = round(x_max ** (i / steps))
-        if x >= 1 and (not xs or x > xs[-1]):
-            xs.append(x)
-    if xs[-1] != x_max:
-        xs[-1] = x_max
+    xs = _schedule(x_max, steps)
 
     # One scan of the odd n up to sqrt(x_max), read row by row: the hits up
     # to each row's sqrt(x) join one running exact sum of their log terms.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -28,11 +27,12 @@ from .poly import lambda_weight, require_admissible
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
-# Entries per float-route table, about 33 MB at 33 bytes each.
+# Largest N of the float route: its roots then take 16 MB, and the 2N
+# int64 bins of each index histogram 16 MB.
 FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
-# Indices per block of the float route, or N if that is larger.
-_FLOAT_BLOCK = 1 << 16
+# Table entries per bincount of the float route's index histogram.
+_FLOAT_BLOCK = 1 << 18
 # Multiplicities below this keep the products of _split's halves exact.
 _SPLIT_LIMIT = 1 << 26
 _HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
@@ -105,6 +105,37 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, v - hi
 
 
+def _index_table(N: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, units): the units u < N coprime to N as int64, and the int32
+    table s^2 u mod N + N for s = 1 .. R, one row per s.
+
+    The index (s^2 - n) u mod N of the float route is (s^2 u mod N) - (n u
+    mod N) mod N, and table - row, row = n u mod N, lies in (0, 2N), so
+    _index_counts needs no % per n.  s^2 u < R^2 N <= x N stays far below
+    2**63 under the float route's caps.
+    """
+    units = np.arange(1, N, dtype=np.int64)
+    units = units[np.gcd(units, N) == 1]
+    table = np.empty((R, units.size), dtype=np.int32)
+    for s in range(1, R + 1):
+        table[s - 1] = (units * (s * s) % N + N).astype(np.int32)
+    return table, units
+
+
+def _index_counts(table: np.ndarray, units: np.ndarray, N: int, n: int) -> np.ndarray:
+    """How often each index k < N occurs as (s^2 - n) u mod N over the table.
+
+    One bincount of table - row over 2N bins, its halves added.  At most
+    _FLOAT_BLOCK entries go to each bincount, so its temporaries stay small
+    however large the table is.
+    """
+    row = (units * n % N).astype(np.int32)
+    rows = max(1, _FLOAT_BLOCK // units.size)
+    halves = sum(np.bincount((table[start:start + rows] - row).ravel(), minlength=2 * N)
+                 for start in range(0, table.shape[0], rows))
+    return halves[:N] + halves[N:]
+
+
 def rhs_linear_expansion(
     spec: PolynomialSpec, ctx: ramanujan.ModulusContext
 ) -> tuple[float, Optional[float]]:
@@ -113,13 +144,20 @@ def rhs_linear_expansion(
     Exact path: for each odd n <= x the inner double sum over s and u
     collapses to the integer phi(N) * [s^2 = n] + c_N(s^2 - n), so the term
     is Lambda(q n + a) times an exact rational coefficient.  Float path:
-    direct complex-exponential summation from an index histogram.  For each
-    n it counts how often each table index occurs, adds each distinct
-    term once with its count through an exact two-float split, and rounds
-    each part (imaginary, then real) once with math.fsum, so it is the
-    correctly rounded sum of every term.  It runs only when the triple-sum
-    size is within FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None
+    direct complex-exponential summation from an index histogram, in one
+    pass over the weighted n.  For each n it counts how often each table
+    index occurs, adds each distinct term once with its count through an
+    exact two-float split, and feeds both parts (imaginary and real) to
+    an arith.ExactSum, which rounds each once, so each is the correctly
+    rounded sum of every term.  It runs only when the triple-sum size is
+    within FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None
     otherwise.
+
+    The float route's index table holds R * phi(N) int32 entries.  With the
+    default c the caps admit at most 1,025,520 (4.1 MB), at inflated x =
+    1680, N = 51278, and 379,584 in the minimal regime, at x = 5261; at x =
+    1024 it holds 32,960.  Under any c both caps together keep it below
+    7.9 million entries (32 MB), near x = 256 with N near 1e6.
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
@@ -130,44 +168,31 @@ def rhs_linear_expansion(
 
     # Independent route on purpose: local tables and literal index counting,
     # no shared Ramanujan code.  For each weighted n the indices
-    # (s^2 - n) * u mod N are counted, and each distinct product
-    # v = lw * table[k], the IEEE product a term-by-term sum would add,
-    # enters math.fsum once with its multiplicity m, as the exact pair
-    # hi * m, lo * m of _split.  Each part is thus still the correctly
-    # rounded sum of every term.  The work cap keeps x in the sieve segment
-    # the exact pass cached, and the table cap keeps N <= 1e6, so shift * u
-    # stays far below 2**63.
+    # (s^2 - n) * u mod N are counted once, and each distinct product
+    # v = lw * roots[k], the IEEE product a term-by-term sum would add,
+    # enters both parts' sums once with its multiplicity m, as the exact
+    # pair hi * m, lo * m of _split.  The work cap keeps x in the sieve
+    # segment the exact pass cached.
     N = ctx.N
     roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
-    units = np.arange(1, N, dtype=np.int64)
-    coprime = units[np.gcd(units, N) == 1]
-    squares_arr = np.arange(1, R + 1, dtype=np.int64) ** 2
-    # A block of at least N indices amortises its N-long bincount.
-    step = max(1, max(_FLOAT_BLOCK, N) // R)
-
-    def multiplicities(n: int) -> tuple[np.ndarray, np.ndarray]:
-        shifts = ((squares_arr - n) % N)[:, None]
-        counts = np.zeros(N, dtype=np.int64)
-        for start in range(0, coprime.size, step):
-            counts += np.bincount((shifts * coprime[start:start + step] % N).ravel(), minlength=N)
+    table, units = _index_table(N, R)
+    imag, real = arith.ExactSum(), arith.ExactSum()
+    for n, lw in sieve.linear_lambda(spec, ctx.x):
+        counts = _index_counts(table, units, N, n)
         k = np.flatnonzero(counts)
         m = counts[k]
         if m.max() >= _SPLIT_LIMIT:
             raise PrecisionError(f"index multiplicity {m.max()} >= 2**26 in float path")
-        return k, m.astype(np.float64)
+        m = m.astype(np.float64)
+        for part, total in ((roots.imag, imag), (roots.real, real)):
+            hi, lo = _split(lw * part[k])
+            total.add(hi * m)
+            total.add(lo * m)
 
-    def blocks(table: np.ndarray) -> Iterator[list[float]]:
-        for n, lw in sieve.linear_lambda(spec, ctx.x):
-            k, m = multiplicities(n)
-            hi, lo = _split(lw * table[k])
-            yield (hi * m).tolist()
-            yield (lo * m).tolist()
-
-    imag_total = math.fsum(chain.from_iterable(blocks(roots.imag))) / phi_n
+    imag_total = imag.value() / phi_n
     if abs(imag_total) >= 1e-6:
         raise PrecisionError(f"imaginary residue {imag_total} in float path")
-    rhs_float = math.fsum(chain.from_iterable(blocks(roots.real))) / phi_n
-    return rhs_exact, rhs_float
+    return rhs_exact, real.value() / phi_n
 
 
 def main_term_decomposition(

@@ -1,13 +1,21 @@
 """Arithmetic kernel checked against slow trial-division oracles."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from quadprimes import arith
+from quadprimes import arith, identity
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 
 def _is_prime_slow(n: int) -> bool:
@@ -256,3 +264,78 @@ def test_prime_blocks_partition_the_list_sieve(limit):
     flat = [p for block in blocks for p in block.tolist()]
     assert flat == arith.primes_up_to(limit)
     assert list(arith.iter_primes(limit)) == flat
+
+
+def _exact_sum(values: list[float], pieces: list[int]) -> float:
+    # Adds values to one ExactSum in pieces of the given lengths, cycling,
+    # with a piece of 1 after each round; empty pieces are added too.
+    total = arith.ExactSum()
+    start = 0
+    for size in itertools.cycle(pieces + [1]):
+        if start >= len(values):
+            break
+        total.add(np.array(values[start:start + size], dtype=np.float64))
+        start += size
+    return total.value()
+
+
+def _same_sum(got: float, values: list[float]) -> bool:
+    # An exact zero is +0.0 from ExactSum; math.fsum's sign of a zero sum
+    # is no part of the correctly rounded value, so only that case compares
+    # by ==.
+    expected = math.fsum(values)
+    return got == expected == 0.0 or got.hex() == expected.hex()
+
+
+@needs_hypothesis
+@pytest.mark.parametrize("batch", [3, arith.EXACT_SUM_BATCH])
+def test_exact_sum_rounds_like_fsum(batch, monkeypatch):
+    # Subnormals, values near +-2**996 and mixed signs, sums that cancel to
+    # zero or to a few ulps of their largest term, in pieces that cross
+    # flush boundaries: a batch of 3 flushes at nearly every add.
+    monkeypatch.setattr(arith, "EXACT_SUM_BATCH", batch)
+    scales = st.integers(-1074, 996)
+    values = st.one_of(
+        st.floats(-(2.0**996), 2.0**996, allow_nan=False),
+        st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1.0, 1.0), scales),
+        st.floats(-(2.0**-1022), 2.0**-1022),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**996, -(2.0**996)]),
+    )
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(st.lists(values, max_size=60), st.lists(st.integers(0, 9), min_size=1, max_size=4),
+           st.booleans())
+    @example([2.0**996, 1.0, -(2.0**996)], [1], False)
+    @example([1.0, 2.0**-53, 2.0**-105], [3], False)
+    @example([-0.0, -0.0], [1], False)
+    @example([], [1], False)
+    def check(values: list[float], pieces: list[int], cancel: bool) -> None:
+        if cancel:
+            values = values + [-v for v in reversed(values)] + values[:1]
+        assert _same_sum(_exact_sum(values, pieces), values)
+
+    check()
+
+
+def test_exact_sum_across_many_flushes():
+    rng = random.Random(3)
+    values = [math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 996))
+              for _ in range(3 * arith.EXACT_SUM_BATCH + 5)]
+    values += [-v for v in values[::2]] + [rng.gauss(0, 1) for _ in range(1000)]
+    rng.shuffle(values)
+    for pieces in ([1], [7, 5000], [len(values)]):
+        assert _same_sum(_exact_sum(values, pieces), values), pieces
+
+
+def test_exact_sum_bins_cannot_overflow_within_the_float_work_cap(monkeypatch):
+    # A value adds at most 2**27 in magnitude to an int64 bin; the float
+    # route adds at most two values per term to each of its sums.
+    assert arith._EXACT_SUM_MAX_VALUES * 2**27 <= 2**62
+    assert 2 * identity.FLOAT_WORK_CAP < arith._EXACT_SUM_MAX_VALUES
+    monkeypatch.setattr(arith, "_EXACT_SUM_MAX_VALUES", 10)
+    total = arith.ExactSum()
+    total.add(np.ones(10))
+    assert total.value() == 10.0
+    total.add(np.ones(1))
+    with pytest.raises(OverflowError, match="at most 10 values"):
+        total.value()

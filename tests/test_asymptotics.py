@@ -4,6 +4,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +157,40 @@ def test_psi2_and_count_keep_their_bits():
     count = asymptotics.count_primes_poly(_spec(1, 1), 3 * 10**5)
     assert count.prime_count == 17924
     assert count.psi_value.hex() == "0x1.92836940917b3p+18"
+
+
+def test_tally_streams_its_log_terms_in_batches(monkeypatch):
+    # Batches of 7 log terms: psi must still be the correctly rounded sum of
+    # every one, for psi2 over the sieve and for count_primes_poly.
+    monkeypatch.setattr(arith, "EXACT_SUM_BATCH", 7)
+    for result in (asymptotics.psi2_count(_spec(4, 1), 10**8, collect_hits=True),
+                   asymptotics.count_primes_poly(_spec(1, 1), 3000)):
+        logs = [math.log(base) for _, _, base, _ in result.hits]
+        assert len(logs) > 50
+        assert result.psi_value.hex() == math.fsum(logs).hex()
+
+
+def test_short_tally_is_one_fsum(monkeypatch):
+    def refuse(self, values):
+        raise AssertionError("short tally reached ExactSum")
+
+    monkeypatch.setattr(arith.ExactSum, "add", refuse)
+    result = asymptotics.psi2_count(_spec(4, 1), 10**6)
+    assert 0 < result.prime_count < arith.EXACT_SUM_BATCH
+
+
+def test_long_tally_holds_one_batch_of_log_terms():
+    # 100,000 hits: as a list their log terms alone would take over 3 MB.
+    hits = ((n, 3, 3, 1) for n in range(1, 200_000, 2))
+    tracemalloc.start()
+    try:
+        result = asymptotics._count_result(_spec(4, 1), 200_000, hits, collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.prime_count == 100_000
+    assert result.psi_value.hex() == math.fsum([math.log(3)] * 100_000).hex()
+    assert peak < 2**20, peak
 
 
 # psi2 past the benchmark's scale, recorded with the per-value scan before
@@ -483,6 +519,44 @@ def test_running_exact_sum_rounds_like_fsum():
             assert math.fsum(partials).hex() == math.fsum(values[: i + 1]).hex()
 
     check()
+
+
+def _literal_schedule(x_max: int, steps: int) -> list[int]:
+    # The schedule as compare_asymptotic once took it, one step at a time.
+    xs: list[int] = []
+    for i in range(1, steps + 1):
+        x = round(x_max ** (i / steps))
+        if x >= 1 and (not xs or x > xs[-1]):
+            xs.append(x)
+    if xs[-1] != x_max:
+        xs[-1] = x_max
+    return xs
+
+
+def test_schedule_equals_the_literal_loop_on_small_tables():
+    for x_max in range(1, 201):
+        for steps in range(1, 301):
+            assert asymptotics._schedule(x_max, steps) == _literal_schedule(x_max, steps), (
+                x_max, steps)
+
+
+def test_schedule_equals_the_literal_loop_on_large_pairs():
+    rng = random.Random(19)
+    pairs = [(2, 10**5), (100, 2 * 10**5), (2**53 + 1, 3000), (2**54 - 1, 50_000),
+             (2**62, 20_000), (10**18, 7919), (999_983, 123_457)]
+    pairs += [(rng.randrange(2, 2**63), rng.randrange(1, 20_000)) for _ in range(12)]
+    pairs += [(rng.randrange(2, 10**4), rng.randrange(10**4, 10**5)) for _ in range(6)]
+    for x_max, steps in pairs:
+        assert asymptotics._schedule(x_max, steps) == _literal_schedule(x_max, steps), (
+            x_max, steps)
+
+
+def test_schedule_skips_runs_of_equal_rows():
+    # Every literal step would be 1e12 powers; the runs are jumped over.
+    for steps in (10**12, 2**40 + 1, 10**30):
+        assert asymptotics._schedule(100, steps) == list(range(1, 101))
+    assert asymptotics._schedule(2, 10**12) == [1, 2]
+    assert asymptotics._schedule(1, 10**12) == [1]
 
 
 def test_compare_asymptotic_validation():

@@ -287,6 +287,17 @@ def test_long_comparison_renders_json_as_fast_as_csv(capsys):
     assert [",".join(_numeral(v) for v in row.values()) for row in rows] == lines
 
 
+def test_compare_with_a_trillion_steps_answers_at_once(capsys):
+    # The schedule used to evaluate every step before it deduplicated.
+    argv = ["compare", "--q", "4", "--a", "1", "--x-max", "100", "--steps", "1000000000000",
+            "--cutoff", "1000", "--output", "csv"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(x) for x in range(1, 101)]
+
+
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
 def test_unwritable_csv_path_exits_two(tmp_path, capsys, where):
     target = tmp_path if where == "directory" else tmp_path / "missing" / "table.csv"

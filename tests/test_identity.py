@@ -253,6 +253,65 @@ def test_rhs_float_refuses_a_multiplicity_past_the_split(monkeypatch):
         identity.rhs_linear_expansion(spec, ctx)
 
 
+def _literal_counts(N: int, R: int, n: int) -> np.ndarray:
+    units = np.array([u for u in range(1, N) if math.gcd(u, N) == 1], dtype=np.int64)
+    shifts = np.arange(1, R + 1, dtype=np.int64) ** 2 - n
+    return np.bincount((shifts[:, None] * units % N).ravel(), minlength=N)
+
+
+@pytest.mark.parametrize("x, regime, block", [
+    (16, "minimal", None), (100, "inflated", None), (256, "minimal", None),
+    (196, "inflated", None), (1024, "minimal", None), (100, "inflated", 1000),
+])
+def test_folded_histogram_counts_every_index_literally(x, regime, block, monkeypatch):
+    # Every odd n <= x, against np.bincount((s^2 - n) u % N); a block of
+    # 1000 entries gives each of the 10 rows its own bincount (phi(N) = 856).
+    if block:
+        monkeypatch.setattr(identity, "_FLOAT_BLOCK", block)
+    ctx = identity.make_context(x, regime)
+    N, R = ctx.N, ctx.floor_sqrt_x
+    table, units = identity._index_table(N, R)
+    assert table.dtype == np.int32 and table.shape == (R, arith.euler_phi(N))
+    assert N <= table.min() and table.max() < 2 * N
+    for n in range(1, x + 1, 2):
+        assert np.array_equal(identity._index_counts(table, units, N, n),
+                              _literal_counts(N, R, n)), n
+
+
+def test_folded_histogram_at_a_large_floor_sqrt():
+    # R = 100, N = 20014: a million-entry table over four bincounts, past
+    # the float route's work cap but not the histogram's arithmetic.
+    ctx = identity.make_context(10**4)
+    N, R = ctx.N, ctx.floor_sqrt_x
+    table, units = identity._index_table(N, R)
+    assert table.size > 3 * identity._FLOAT_BLOCK
+    for n in (1, 3, 2401, 5001, 9801, 9999):
+        assert np.array_equal(identity._index_counts(table, units, N, n),
+                              _literal_counts(N, R, n)), n
+
+
+def test_float_route_histograms_once_per_n_in_int32(monkeypatch):
+    # One histogram per weighted n feeds both parts, and every index array
+    # it counts is int32 within (0, 2N), whatever numpy's promotion rules.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(1024)
+    counted = []
+    bincount = np.bincount
+
+    def spy(indices, weights=None, minlength=0):
+        if minlength == 2 * ctx.N:
+            counted.append((indices.dtype, int(indices.min()), int(indices.max()), minlength))
+        return bincount(indices, weights, minlength)
+
+    monkeypatch.setattr(identity.np, "bincount", spy)
+    _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    assert rhs_float.hex() == "0x1.da4b6ce949ef6p+4"
+    weighted = sum(1 for _ in sieve.linear_lambda(spec, ctx.x))
+    assert len(counted) == weighted == 146
+    for dtype, least, most, _ in counted:
+        assert dtype == np.int32 and 0 < least and most < 2 * ctx.N
+
+
 def test_rhs_exact_matches_square_indicator_route_on_default_grid():
     for q, a in verification.IDENTITY_PAIRS:
         spec = identity.check_admissible(q, a)
