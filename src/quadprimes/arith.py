@@ -403,8 +403,7 @@ _LEAST_EXPONENT = -1073
 _EXACT_BINS = 1024 - _LEAST_EXPONENT + 27
 # Each value adds at most 2**27 in magnitude to any int64 bin, so 2**35
 # values keep every bin within 2**62.  The float route of the identity adds
-# fewer than 2**32 (two per term at most, FLOAT_WORK_CAP = 1e9 terms), and a
-# psi2 tally one per odd n below 2**32.
+# fewer than 2**32 (two per term at most, FLOAT_WORK_CAP = 1e9 terms).
 _EXACT_SUM_MAX_VALUES = 1 << 35
 
 
@@ -438,7 +437,7 @@ class ExactSum:
     def _flush(self) -> None:
         if not self._pending:
             return
-        values = np.concatenate(self._pending)
+        values = self._pending[0] if len(self._pending) == 1 else np.concatenate(self._pending)
         self._pending, self._pending_size = [], 0
         self._added += values.size
         if self._added > _EXACT_SUM_MAX_VALUES:

@@ -101,35 +101,30 @@ def _per_value_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int
 def _count_result(
     spec: PolynomialSpec, n_max: int, hits: Iterator[tuple[int, int, int, int]], collect: bool
 ) -> CountResult:
-    """Tally (n, f(n), base prime, exponent) hits: psi is the exact sum of
-    ln(base), rounded once.
+    """Tally (n, f(n), base prime, exponent) hits: psi is math.fsum of
+    ln(base), the correctly rounded sum.
 
-    The log terms go to an arith.ExactSum arith.EXACT_SUM_BATCH at a time,
-    so a long tally holds one batch of them, not all; a tally that never
-    fills a batch is one math.fsum, as cheap as a short tally was.  Both
-    give the correctly rounded sum.
+    math.fsum reads the log terms from a generator and keeps only its few
+    partials, so a long tally holds no list of them.
     """
     kept: list[tuple[int, int, int, int]] = []
-    log_terms: list[float] = []
-    total: Optional[arith.ExactSum] = None
     prime_count = 0
-    for hit in hits:
-        _, _, base, exponent = hit
-        log_terms.append(math.log(base))
-        if len(log_terms) == arith.EXACT_SUM_BATCH:
-            total = total or arith.ExactSum()
-            total.add(np.array(log_terms))
-            log_terms.clear()
-        if exponent == 1:
-            prime_count += 1
-        if collect:
-            kept.append(hit)
-    if total is not None:
-        total.add(np.array(log_terms))
+
+    def log_terms() -> Iterator[float]:
+        nonlocal prime_count
+        for hit in hits:
+            _, _, base, exponent = hit
+            if exponent == 1:
+                prime_count += 1
+            if collect:
+                kept.append(hit)
+            yield math.log(base)
+
+    psi_value = math.fsum(log_terms())
     return CountResult(
         spec=spec,
         n_max=n_max,
-        psi_value=math.fsum(log_terms) if total is None else total.value(),
+        psi_value=psi_value,
         prime_count=prime_count,
         hits=tuple(kept) if collect else None,
     )

@@ -27,8 +27,10 @@ from .poly import lambda_weight, require_admissible
 
 # Work caps keep the desk-scale checks interactive.
 FLOAT_WORK_CAP = 10**9
-# Largest N of the float route: its roots then take 16 MB, and the 2N
-# int64 bins of each index histogram 16 MB.
+# Largest N of the float route: its roots then take 16 MB and its int32
+# index table below 32 MB.  Each n adds at most 24 MB more: the N-long int64
+# count with one 2N-bin bincount folded into it, or the count with its
+# nonzero k and their multiplicities.
 FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
 # Table entries per bincount of the float route's index histogram.
@@ -125,15 +127,41 @@ def _index_table(N: int, R: int) -> tuple[np.ndarray, np.ndarray]:
 def _index_counts(table: np.ndarray, units: np.ndarray, N: int, n: int) -> np.ndarray:
     """How often each index k < N occurs as (s^2 - n) u mod N over the table.
 
-    One bincount of table - row over 2N bins, its halves added.  At most
-    _FLOAT_BLOCK entries go to each bincount, so its temporaries stay small
-    however large the table is.
+    Bincounts of table - row over 2N bins, each folded in place into one
+    N-long int64 count.  At most _FLOAT_BLOCK entries go to each bincount,
+    so its temporaries stay small however large the table is.
     """
     row = (units * n % N).astype(np.int32)
     rows = max(1, _FLOAT_BLOCK // units.size)
-    halves = sum(np.bincount((table[start:start + rows] - row).ravel(), minlength=2 * N)
-                 for start in range(0, table.shape[0], rows))
-    return halves[:N] + halves[N:]
+    counts = np.zeros(N, dtype=np.int64)
+    for start in range(0, table.shape[0], rows):
+        halves = np.bincount((table[start:start + rows] - row).ravel(), minlength=2 * N)
+        counts += halves[:N]
+        counts += halves[N:]
+        del halves  # before the next block's bincount
+    return counts
+
+
+def _add_terms(
+    lw: float, counts: np.ndarray, roots: np.ndarray, imag: arith.ExactSum, real: arith.ExactSum
+) -> None:
+    """Add lw * roots[k], counts[k] times, for each k, to the imaginary and
+    real sums, as the exact pairs hi * m, lo * m of _split.
+
+    The distinct k go arith.EXACT_SUM_BATCH at a time, so besides k and its
+    counts no temporary holds more than one batch, however large N is.
+    """
+    k = np.flatnonzero(counts)
+    m = counts[k]
+    if m.max() >= _SPLIT_LIMIT:
+        raise PrecisionError(f"index multiplicity {m.max()} >= 2**26 in float path")
+    for start in range(0, k.size, arith.EXACT_SUM_BATCH):
+        ks = k[start:start + arith.EXACT_SUM_BATCH]
+        ms = m[start:start + arith.EXACT_SUM_BATCH].astype(np.float64)
+        for part, total in ((roots.imag, imag), (roots.real, real)):
+            hi, lo = _split(lw * part[ks])
+            total.add(hi * ms)
+            total.add(lo * ms)
 
 
 def rhs_linear_expansion(
@@ -178,16 +206,7 @@ def rhs_linear_expansion(
     table, units = _index_table(N, R)
     imag, real = arith.ExactSum(), arith.ExactSum()
     for n, lw in sieve.linear_lambda(spec, ctx.x):
-        counts = _index_counts(table, units, N, n)
-        k = np.flatnonzero(counts)
-        m = counts[k]
-        if m.max() >= _SPLIT_LIMIT:
-            raise PrecisionError(f"index multiplicity {m.max()} >= 2**26 in float path")
-        m = m.astype(np.float64)
-        for part, total in ((roots.imag, imag), (roots.real, real)):
-            hi, lo = _split(lw * part[k])
-            total.add(hi * m)
-            total.add(lo * m)
+        _add_terms(lw, _index_counts(table, units, N, n), roots, imag, real)
 
     imag_total = imag.value() / phi_n
     if abs(imag_total) >= 1e-6:

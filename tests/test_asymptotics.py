@@ -159,27 +159,7 @@ def test_psi2_and_count_keep_their_bits():
     assert count.psi_value.hex() == "0x1.92836940917b3p+18"
 
 
-def test_tally_streams_its_log_terms_in_batches(monkeypatch):
-    # Batches of 7 log terms: psi must still be the correctly rounded sum of
-    # every one, for psi2 over the sieve and for count_primes_poly.
-    monkeypatch.setattr(arith, "EXACT_SUM_BATCH", 7)
-    for result in (asymptotics.psi2_count(_spec(4, 1), 10**8, collect_hits=True),
-                   asymptotics.count_primes_poly(_spec(1, 1), 3000)):
-        logs = [math.log(base) for _, _, base, _ in result.hits]
-        assert len(logs) > 50
-        assert result.psi_value.hex() == math.fsum(logs).hex()
-
-
-def test_short_tally_is_one_fsum(monkeypatch):
-    def refuse(self, values):
-        raise AssertionError("short tally reached ExactSum")
-
-    monkeypatch.setattr(arith.ExactSum, "add", refuse)
-    result = asymptotics.psi2_count(_spec(4, 1), 10**6)
-    assert 0 < result.prime_count < arith.EXACT_SUM_BATCH
-
-
-def test_long_tally_holds_one_batch_of_log_terms():
+def test_long_tally_holds_no_list_of_log_terms():
     # 100,000 hits: as a list their log terms alone would take over 3 MB.
     hits = ((n, 3, 3, 1) for n in range(1, 200_000, 2))
     tracemalloc.start()

@@ -136,7 +136,8 @@ def test_rhs_float_route_skips_oversized_tables(monkeypatch):
 
 def test_rhs_float_path_memory_is_bounded():
     # x = 256 sums about 1M real and imaginary terms; the float route
-    # streams them block by block into math.fsum instead of keeping them.
+    # counts each n's indices into one folded histogram and adds its
+    # distinct terms to arith.ExactSum's bins instead of keeping them.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(256)
     tracemalloc.start()
@@ -156,6 +157,18 @@ def _traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_rhs_float_path_memory_at_large_N():
+    # x = 16 with N = 200,302: the roots (16 N bytes) and the int32 index
+    # table (4 R phi(N) bytes) stay resident, and each n's histogram and
+    # its terms add only a few N-long arrays on top.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(16, "inflated", 5.25)
+    assert ctx.N > 2 * 10**5
+    resident = 16 * ctx.N + 4 * ctx.floor_sqrt_x * arith.euler_phi(ctx.N)
+    peak = _traced_peak(lambda: identity.rhs_linear_expansion(spec, ctx))
+    assert peak < resident + 56 * ctx.N, (peak, resident)
 
 
 def test_rhs_exact_path_holds_no_more_than_its_sieve():
