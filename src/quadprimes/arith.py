@@ -7,6 +7,7 @@ Key functions:
     von_mangoldt(n): Lambda(n) = ln p when n = p**k, else 0.0
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
+    residues(m, primes): any int m reduced mod an int64 array of primes
     power_mod(base, exponent, modulus): elementwise modular powers of int64 arrays
     ExactSum: correctly rounded sum of float64 arrays in integer exponent bins
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
@@ -29,7 +30,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 U64_MAX = 2**64 - 1
-I64_MAX = 2**63 - 1
 
 # Largest prime below 2**64.  next_prime_above cannot pass it without leaving
 # the 64-bit contract.
@@ -372,6 +372,25 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def residues(m: int, primes: np.ndarray) -> np.ndarray:
+    """m mod p for each p in an int64 array of primes below 2**27, for any int m.
+
+    Horner's rule over 31-bit limbs of |m| keeps every intermediate below
+    2**58, so the reduction is exact however large m is.
+    """
+    magnitude = abs(m)
+    limbs = []
+    while True:
+        limbs.append(magnitude & 0x7FFFFFFF)
+        magnitude >>= 31
+        if not magnitude:
+            break
+    r = np.zeros_like(primes)
+    for limb in reversed(limbs):
+        r = ((r << 31) + limb) % primes
+    return (primes - r) % primes if m < 0 else r
 
 
 def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:

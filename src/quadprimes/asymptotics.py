@@ -2,15 +2,14 @@
 
 The weighted count psi2 finds the odd n <= sqrt(x) with f(n) a prime power
 by sieve.prime_power_values, which sieves f over the odd n with the roots of
-f mod each prime, from 2,048 odd n on while the values fit in int64.  A
-shorter scan, or one past int64, tests each f(n) with arith.prime_power_base
-(primality plus perfect powers), which stays the sieve's oracle.  Neither
-route factors values the way the identity module does, so the two paths stay
-independent cross-checks.  Density constants come from truncated Euler
-products over odd primes in two variants that differ in their denominator
-convention; both are computed rather than picking one, and
-compare_asymptotic tabulates the measured psi2 against the predicted
-(c_f / 2) * sqrt(x) curve.
+f mod each prime, from 2,048 odd n on.  A shorter scan tests each f(n) with
+arith.prime_power_base (primality plus perfect powers), which stays the
+sieve's oracle.  Neither route factors values the way the identity module
+does, so the two paths stay independent cross-checks.  Density constants
+come from truncated Euler products over odd primes in two variants that
+differ in their denominator convention; both are computed rather than
+picking one, and compare_asymptotic tabulates the measured psi2 against the
+predicted (c_f / 2) * sqrt(x) curve.
 """
 from __future__ import annotations
 
@@ -27,6 +26,11 @@ from .poly import PolynomialSpec, require_admissible, require_range
 
 DEFAULT_EULER_CUTOFF = 10**6
 EULER_CUTOFF_MAX = 10**8
+# count_primes_poly runs one Miller-Rabin test per n and keeps every hit.
+# The count command for t^2 + 1 took 5.0 s and 45 MB peak RSS at n_max =
+# 1e6, and 58.6 s and 164 MB at 1e7, on a 2-core VM.  At those rates, about
+# 6 us and 13 bytes per n, the cap is about ten minutes and 1.3 GB.
+COUNT_N_MAX = 10**8
 
 # Scans of fewer odd n test each value instead of sieving: below about this
 # many the sieve's fixed cost, the roots of every prime up to sqrt(f), is
@@ -80,9 +84,8 @@ class ComparisonRow:
 def _prime_power_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int, int, int]]:
     """(n, f(n), base prime, exponent) for each odd n <= n_max with f(n) a
     prime power: from sieve.prime_power_values from _SIEVE_MIN_ODD_N odd n
-    on while q n_max^2 + |a| fits in int64, else from _per_value_hits."""
-    if (n_max + 1) // 2 >= _SIEVE_MIN_ODD_N and (
-            spec.q * n_max * n_max + abs(spec.a) <= arith.I64_MAX):
+    on, else from _per_value_hits."""
+    if (n_max + 1) // 2 >= _SIEVE_MIN_ODD_N:
         return sieve.prime_power_values(spec, n_max)
     return _per_value_hits(spec, n_max)
 
@@ -134,9 +137,9 @@ def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> Coun
     """Lambda-weighted count of prime-power values f(n) over odd n <= sqrt(x).
 
     The hits come from _prime_power_hits: the quadratic sieve for scans of
-    2,048 odd n or more with values in int64, per-value primality and
-    perfect-power tests otherwise, with the same hits either way.  This is
-    the scale path, independent of the factorization-backed identity path.
+    2,048 odd n or more, per-value primality and perfect-power tests
+    otherwise, with the same hits either way.  This is the scale path,
+    independent of the factorization-backed identity path.
     """
     require_admissible(spec, x)
     n_max = math.isqrt(x)
@@ -156,13 +159,16 @@ def linear_psi_odd(spec: PolynomialSpec, X: int) -> tuple[float, float]:
 
 
 def count_primes_poly(spec: PolynomialSpec, n_max: int) -> CountResult:
-    """All n <= n_max with f(n) prime, admissible or not.
+    """All n <= n_max with f(n) prime, admissible or not; an n_max above
+    COUNT_N_MAX is refused with CapacityError before any test runs.
 
     Inadmissible specs are allowed here on purpose: counting primes in a
     family like t^2 + 1 is meaningful even though the parity hypothesis of
     the quadratic-to-linear machinery excludes q = 1.
     """
     require_range(spec, n_max, "n_max", n_max * n_max)
+    if n_max > COUNT_N_MAX:
+        raise CapacityError(f"n_max capped at {COUNT_N_MAX}")
     hits = ((n, value, value, 1) for n in range(1, n_max + 1)
             if (value := spec.value_at(n)) >= 2 and arith.is_prime(value))
     return _count_result(spec, n_max, hits, collect=True)
@@ -175,25 +181,6 @@ def epsilon_factor(q: int) -> Fraction:
     return Fraction(1, 1) if q % 2 == 0 else Fraction(1, 2)
 
 
-def _residues(m: int, primes: np.ndarray) -> np.ndarray:
-    """m mod p for each p in an int64 array of primes below 2**27, for any int m.
-
-    Horner's rule over 31-bit limbs of |m| keeps every intermediate below
-    2**58, so the reduction is exact however large m is.
-    """
-    magnitude = abs(m)
-    limbs = []
-    while True:
-        limbs.append(magnitude & 0x7FFFFFFF)
-        magnitude >>= 31
-        if not magnitude:
-            break
-    r = np.zeros_like(primes)
-    for limb in reversed(limbs):
-        r = ((r << 31) + limb) % primes
-    return (primes - r) % primes if m < 0 else r
-
-
 def _characters(m: int, primes: np.ndarray) -> np.ndarray:
     """Legendre symbols (m | p) for odd primes p below 2**27, by Euler's criterion.
 
@@ -203,7 +190,7 @@ def _characters(m: int, primes: np.ndarray) -> np.ndarray:
     depends only on p mod 4|m|, so _class_characters asks at one prime per
     class while 4|m| <= arith.SEGMENT_SIZE, and at every prime otherwise.
     """
-    power = arith.power_mod(_residues(m, primes), (primes - 1) >> 1, primes)
+    power = arith.power_mod(arith.residues(m, primes), (primes - 1) >> 1, primes)
     return np.where(power == primes - 1, -1, power)
 
 
@@ -284,7 +271,7 @@ def bateman_horn_constant(
         chi = characters(primes).astype(np.float64)
         denominator = as_float if variant == "paper" else as_float - 1.0
         factors = np.where(
-            _residues(spec.q, primes) == 0, as_float / (as_float - 1.0), 1.0 - chi / denominator
+            arith.residues(spec.q, primes) == 0, as_float / (as_float - 1.0), 1.0 - chi / denominator
         )
         if character_of_one and variant == "hl":
             # For t^2 + 1 the factor must straddle 1 according to p mod 4.

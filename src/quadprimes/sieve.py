@@ -1,143 +1,185 @@
 """Segmented sieves over the values q*n + a and q*n^2 + a of n.
 
-One engine factors a whole segment of values at once instead of one value at
-a time (the segmented sieve of Bays and Hudson, BIT 17, 1977).  Over n = 1,
-1 + step, ... <= x it walks the values q*n + a >= 1 in segments of
-SEGMENT_LENGTH.  Each sieving prime p has a single root, the n with
-q*n + a = 0 (mod p), so its hits in a segment are one stride.  At every hit
-p is divided out completely.  Per value the engine records the distinct
-primes found, one base prime and whether any of their exponents is odd, and
-keeps the unfactored rest.
+One engine, _sieve, factors a whole segment of values at once instead of one
+value at a time (the segmented sieve of Bays and Hudson, BIT 17, 1977).
+Each sieving prime comes with its roots, the indices of the values it
+divides, and a root hits every p-th value after its first.  The hits of a
+prime shorter than a segment are expanded as strides; a longer prime hits a
+segment at most once and is found by one comparison.  Every hit is checked
+to divide its value.  Two kinds of values feed it:
 
-The sieving primes stop at the number of values in a segment, not at the
-square root of the largest value, so a progression with a huge q stays
-cheap.  A rest below (bound + 1)**2 with no sieved prime is prime and is
-folded in; a larger one stays in `rest` for the reader to resolve.
+    q*n + a over n = 1, 1 + step, ...: each prime has one root,
+        n = -a/q (mod p).  The sieving primes stop at the number of values
+        in a segment, not at the square root of the largest value, so a
+        huge q stays cheap.
+    q*n^2 + a over odd n, the classical sieve for n^2 + 1 (D. Shanks, Math.
+        Comp. 14, 1960; M. J. Jacobson Jr. and H. C. Williams, Math. Comp.
+        72, 2003): a prime p has up to two roots, the t with
+        q t^2 + a = 0 (mod p), found for a whole arith.prime_blocks block
+        at a time by Tonelli-Shanks.
 
-Its values are uint64 throughout, and every array the values meet is uint64
-too, so no product wraps and nothing is promoted to float up to 2**64 - 1.
+Every value lies in [0, 2**64), so both kinds are computed in uint64, with
+q n^2 + a taken mod 2**64, which is exact there; the hits' primes are uint64
+too, so nothing is promoted to float.
 
-Two readers sit on the engine, and each keeps its per-value route as the
-test oracle:
+Two readers sit on the engine, and each route keeps its per-value oracle in
+the tests.  _prime_powers reads a value with exactly one sieved prime as
+that prime's power when dividing it out leaves 1, a value with none as
+prime below (bound + 1)**2, bound the reach of the sieving primes, and by
+arith.prime_power_base above it, and any other value as no prime power.
+It serves
 
     linear_lambda(spec, x): Lambda(q n + a) for odd n <= x
         (per value: poly.lambda_weight)
-    square_flags(limit): whether each n <= limit is a perfect square
-        (per value: indicator.square_char_liouville)
-
-A second engine sieves the values q n^2 + a over odd n, the classical sieve
-for n^2 + 1 (D. Shanks, Math. Comp. 14, 1960; M. J. Jacobson Jr. and H. C.
-Williams, Math. Comp. 72, 2003).  A prime p has up to two roots there, the t
-with q t^2 + a = 0 (mod p), found for a whole arith.prime_blocks block at a
-time by Tonelli-Shanks, and their hits are expanded as above.  Its arrays
-are all int64, which holds every value below 2**63.  It finds the
-prime-power values without a primality test:
-
     prime_power_values(spec, n_max): (n, f(n), p, k) for odd n <= n_max
-        with f(n) = p**k, read by asymptotics.psi2_count and
-        compare_asymptotic (per value: arith.prime_power_base, in
-        asymptotics, which keeps it for short scans)
+        with f(n) = q n^2 + a = p**k, read by asymptotics.psi2_count and
+        compare_asymptotic (per value: asymptotics._per_value_hits, which
+        they keep for short scans)
+
+square_flags(limit), whether each n <= limit is a perfect square, divides
+every sieved prime out completely and reads the parity of its exponent
+(per value: indicator.square_char_liouville).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import arith
 from .poly import PolynomialSpec
 
-# Values per segment.  A segment's arrays and those of its hits (about 2.5
-# per value) peak near 10 MB, at any x.
+# Values per segment of q*n + a.  A segment's arrays and those of its hits
+# (about 2.5 per value) peak near 10 MB, at any x.
 SEGMENT_LENGTH = 1 << 16
 
-# (start, distinct, base, odd, rest) for one segment: entry i is
-# n = start + step * i.
-Segment = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# (k0, values, pos, prime) for one segment of _sieve: values (uint64) of the
+# indices k0, k0 + 1, ...; each hit at values[pos] by prime (uint64).
+Hits = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _hits(first: np.ndarray, primes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, prime) for every hit in a segment of size values: the root at
-    index first[i] of primes[i] hits first[i], first[i] + primes[i], ... < size."""
-    hits = np.maximum((size - 1 - first) // primes + 1, 0)
+def _hits(values: np.ndarray, first: np.ndarray, primes: np.ndarray,
+          first_once: np.ndarray, primes_once: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, prime) for every hit on a segment of values: the root at index
+    first[i] of primes[i] hits first[i], first[i] + primes[i], ... < values.size,
+    and that of primes_once[i] only first_once[i].  prime is uint64.
+
+    Raises ArithmeticError if a hit's prime does not divide its value.
+    """
+    hits = np.maximum((values.size - 1 - first) // primes + 1, 0)
     pos = np.repeat(first, hits)
     prime = np.repeat(primes, hits)
     pos += prime * (np.arange(pos.size) - np.repeat(np.cumsum(hits) - hits, hits))
+    pos = np.concatenate((pos, first_once))
+    prime = np.concatenate((prime, primes_once), dtype=np.uint64, casting="unsafe")
+    if np.any(values[pos] % prime):
+        raise ArithmeticError("sieve root misses its prime")
     return pos, prime
 
 
-def _segments(q: int, a: int, x: int, step: int) -> Iterator[Segment]:
-    """Factor q*n + a over n = 1, 1 + step, ... <= x where the value is >= 1.
+def _sieve(values_at: Callable[[int, int], np.ndarray], count: int, length: int,
+           p: np.ndarray, first: np.ndarray) -> Iterator[Hits]:
+    """The hits of the int64 roots (p, first) on the values of the indices
+    0 .. count - 1, length at a time: values_at(k0, size) gives those of
+    k0 .. k0 + size - 1 as uint64, and p[i] divides the value at first[i]
+    and at every p[i]-th index after it (0 <= first[i] < p[i]).
 
-    Yields per segment its first n and four arrays over its values:
-    distinct (int64), the number of distinct sieved primes; base (uint64),
-    one of them, or the folded prime rest; odd (bool), whether any of their
-    exponents is odd; rest (uint64), the part no sieved prime divides, 1
-    when fully factored.
+    A prime shorter than a segment has its hits expanded; a longer one hits
+    a segment at most once, found by one comparison.  Raises
+    ArithmeticError in the first segment where a hit's prime does not
+    divide its value.  The hits are yielded and not kept, so a reader that
+    drops them frees them before the next segment's are expanded.
     """
-    start = max(1, -((a - 1) // q))  # smallest n with q*n + a >= 1
+    short = p < length
+    p_short, first_short = p[short], first[short]
+    p_long, first_long = p[~short], first[~short]
+    del p, first
+    for k0 in range(0, count, length):
+        size = min(length, count - k0)
+        values = values_at(k0, size)
+        once = np.flatnonzero(first_long < size)
+        yield (k0, values, *_hits(values, first_short, p_short, first_long[once], p_long[once]))
+        first_short = (first_short - length) % p_short
+        first_long -= length  # every segment but the last has size == length
+        first_long[once] += p_long[once]
+
+
+def _divide_out(values: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rest, exponent) with values = rest * primes**exponent elementwise and
+    rest not divisible by primes; each of primes divides its value."""
+    rest = values // primes
+    exponent = np.ones(values.size, dtype=np.int8)  # below 64 in uint64
+    deeper = np.flatnonzero(rest % primes == 0)
+    while deeper.size:
+        rest[deeper] //= primes[deeper]
+        exponent[deeper] += 1
+        deeper = deeper[rest[deeper] % primes[deeper] == 0]
+    return rest, exponent
+
+
+def _prime_top(bound: int) -> np.uint64:
+    """The largest value below (bound + 1)**2, within 64 bits: one with no
+    prime factor up to bound and at most this is 1 or a prime."""
+    return np.uint64(min((bound + 1) ** 2 - 1, arith.U64_MAX))
+
+
+def _prime_powers(segments: Iterator[Hits], prime_top: np.uint64
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(k0, index, value, base, exponent) per segment of _sieve, for each
+    value = base**exponent with exponent >= 1 at values[index].
+
+    The sieved primes must include every prime up to isqrt(prime_top) that
+    can divide a value.
+    """
+    for k0, values, pos, prime in segments:
+        distinct = np.bincount(pos, minlength=values.size)
+        base = values.copy()
+        base[pos] = prime
+        del pos, prime  # free before the next segment's hits are expanded
+        exponent = np.zeros(values.size, dtype=np.int64)
+
+        one = np.flatnonzero(distinct == 1)
+        rest, power = _divide_out(values[one], base[one])
+        exponent[one] = np.where(rest == 1, power, 0)
+
+        none = np.flatnonzero(distinct == 0)
+        exponent[none] = (values[none] > 1) & (values[none] <= prime_top)
+        for i in none[values[none] > prime_top].tolist():
+            found = arith.prime_power_base(int(values[i]))
+            if found is not None:
+                base[i], exponent[i] = found
+
+        index = np.flatnonzero(exponent)
+        yield k0, index, values[index], base[index], exponent[index]
+
+
+def _linear(q: int, a: int, x: int, step: int) -> tuple[int, np.uint64, Iterator[Hits]]:
+    """(start, prime_top, segments): _sieve's segments of the values q*n + a
+    over n = start, start + step, ... <= x, start the least n = 1 (mod step)
+    with q*n + a >= 1, and the _prime_top of their sieving primes."""
+    start = max(1, -((a - 1) // q))
     start += -(start - 1) % step
-    if x < start:
-        return
     count = (x - start) // step + 1
+    if count < 1:
+        return start, _prime_top(0), iter(())
     A, B = q * step, q * start + a  # value at index k is A*k + B
     if math.gcd(A, B) != 1:
         raise ValueError("the progression's values must share no common factor")
     length = min(count, SEGMENT_LENGTH)
     bound = min(math.isqrt(A * (count - 1) + B), length)
-    prime_cap = (bound + 1) ** 2  # a rest below it with no sieved prime is prime
     primes = [p for p in arith.primes_up_to(bound) if A % p]
-    p_arr = np.array(primes, dtype=np.int64)
-    # first[i]: index of the next hit of primes[i], relative to this segment.
-    first = np.array([-B * pow(A, -1, p) % p for p in primes], dtype=np.int64)
-    shift = length % p_arr
+    first = [-B * pow(A, -1, p) % p for p in primes]
     step_u64 = np.uint64(A if count > 1 else 0)  # A may pass 2**64 only when count == 1
 
-    for k0 in range(0, count, length):
-        size = min(length, count - k0)
-        values = np.arange(k0, k0 + size, dtype=np.uint64) * step_u64 + np.uint64(B)
-        pos, prime = _hits(first, p_arr, size)
-        prime = prime.astype(np.uint64)
+    def values_at(k0: int, size: int) -> np.ndarray:
+        return np.arange(k0, k0 + size, dtype=np.uint64) * step_u64 + np.uint64(B)
 
-        # Divide each hit's prime out of its value completely.  A hit that
-        # p does not divide would reach 0, which p divides forever.
-        hit_values = values[pos]
-        quotient = hit_values // prime
-        if np.any(quotient * prime != hit_values):
-            raise ArithmeticError("sieve root misses its prime")
-        power = prime.copy()
-        odd_hit = np.ones(pos.size, dtype=bool)
-        deeper = np.flatnonzero(quotient % prime == 0)
-        while deeper.size:
-            quotient[deeper] //= prime[deeper]
-            power[deeper] *= prime[deeper]
-            odd_hit[deeper] ^= True
-            deeper = deeper[quotient[deeper] % prime[deeper] == 0]
-
-        distinct = np.bincount(pos, minlength=size)
-        base = np.zeros(size, dtype=np.uint64)
-        base[pos] = prime
-        odd = np.zeros(size, dtype=bool)
-        odd[pos[odd_hit]] = True
-        found = np.ones(size, dtype=np.uint64)
-        np.multiply.at(found, pos, power)
-        rest = values // found
-
-        prime_rest = rest > 1
-        if prime_cap <= arith.U64_MAX:
-            prime_rest &= rest < np.uint64(prime_cap)
-        lone = prime_rest & (distinct == 0)
-        base[lone] = rest[lone]
-        distinct[prime_rest] += 1
-        odd |= prime_rest
-        rest[prime_rest] = 1
-        del pos, prime  # free before the next segment's hits are expanded
-
-        yield start + step * k0, distinct, base, odd, rest
-        first = (first - shift) % p_arr
+    segments = _sieve(values_at, count, length, np.array(primes, dtype=np.int64),
+                      np.array(first, dtype=np.int64))
+    return start, _prime_top(bound), segments
 
 
 def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
@@ -145,10 +187,9 @@ def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
     ascending.
 
     Lambda is math.log of the base prime as a Python int, so its bits equal
-    arith.von_mangoldt's; a value below 1 weighs 0 and is not yielded.  A
-    value with no sieved prime goes to arith.prime_power_base.  A range of
-    one segment is kept, so the identity suites, which weigh the same
-    progressions, sieve each once.
+    arith.von_mangoldt's; a value below 2 weighs 0 and is not yielded.  A
+    range of one segment is kept, so the identity suites, which weigh the
+    same progressions, sieve each once.
     """
     if (x + 1) // 2 <= SEGMENT_LENGTH:
         numbers, weights = _one_segment_lambda(spec.q, spec.a, x)
@@ -157,16 +198,10 @@ def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
 
 
 def _lambda_segments(q: int, a: int, x: int) -> Iterator[tuple[list[int], list[float]]]:
-    for start, distinct, base, _, rest in _segments(q, a, x, 2):
-        power = (distinct == 1) & (rest == 1)
-        for i in np.flatnonzero((distinct == 0) & (rest > 1)).tolist():
-            found = arith.prime_power_base(int(rest[i]))
-            if found is not None:
-                base[i] = found[0]
-                power[i] = True
-        index = np.flatnonzero(power)
-        yield ([start + 2 * i for i in index.tolist()],
-               [math.log(p) for p in base[index].tolist()])
+    start, prime_top, segments = _linear(q, a, x, 2)
+    for k0, index, _, base, _ in _prime_powers(segments, prime_top):
+        n0 = start + 2 * k0
+        yield [n0 + 2 * i for i in index.tolist()], [math.log(p) for p in base.tolist()]
 
 
 @lru_cache(maxsize=64)
@@ -179,22 +214,32 @@ def square_flags(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """(start, flags) per segment of n = 1..limit: flags[i] says whether
     n = start + i is a perfect square, read as "every prime exponent of n is
     even"."""
-    for start, _, _, odd, rest in _segments(1, 0, limit, 1):
-        square = ~odd & (rest == 1)
-        # A rest above the sieve's reach is a square exactly when n's is.
-        for i in np.flatnonzero(~odd & (rest > 1)).tolist():
+    start, prime_top, segments = _linear(1, 0, limit, 1)
+    for k0, values, pos, prime in segments:
+        hit_values = values[pos]
+        quotient, exponent = _divide_out(hit_values, prime)
+        odd = np.zeros(values.size, dtype=bool)
+        odd[pos[exponent % 2 == 1]] = True
+        found = np.ones(values.size, dtype=np.uint64)
+        np.multiply.at(found, pos, hit_values // quotient)  # each hit's prime power
+        del pos, prime, hit_values  # free before the next segment's hits are expanded
+        rest = values // found
+        # A rest of 2 .. prime_top is a prime, an odd exponent; a larger rest
+        # is a square exactly when n's is.
+        square = ~odd & ((rest == 1) | (rest > prime_top))
+        for i in np.flatnonzero(square & (rest > 1)).tolist():
             r = int(rest[i])
             square[i] = math.isqrt(r) ** 2 == r
-        yield start, square
+        yield start + k0, square
 
 
-# Odd n per segment of the quadratic engine.  At x = 1e10 (4n^2 + 1) a
-# segment's arrays and those of its hits peak near 1.6 MB, traced, against
-# 4.3 MB at 2**16, for about the same time.
+# Odd n per segment of q*n^2 + a.  At x = 1e10 (4n^2 + 1) a segment's arrays
+# and those of its hits peak near 1.6 MB, traced, against 4.3 MB at 2**16,
+# for about the same time.
 QUADRATIC_SEGMENT_LENGTH = 1 << 13
 
-# The quadratic engine's sieving primes stop at isqrt(f(n_max)), or earlier
-# at QUADRATIC_REACH times the number of odd n or at QUADRATIC_PRIME_CAP.
+# The sieving primes of q*n^2 + a stop at isqrt(f(n_max)), or earlier at
+# QUADRATIC_REACH times the number of odd n or at QUADRATIC_PRIME_CAP.
 # f(n_max) is about 4 q times that count squared, so up to q = 256 the first
 # bound is the square root, and a huge q costs no more roots than the scan
 # has values.  The cap keeps the roots' arrays near 33 MB (about 2.1 million
@@ -207,24 +252,17 @@ QUADRATIC_PRIME_CAP = 1 << 25
 
 def prime_power_values(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int, int, int]]:
     """(n, f(n), p, k) for each odd n <= n_max with f(n) = q n^2 + a = p**k
-    and k >= 1, ascending in n.
+    and k >= 1, ascending in n, read by _prime_powers.
 
     Needs gcd(q, a) = 1 and q + a odd, so that neither 2 nor a prime of q
-    divides a value, and q n_max**2 + |a| <= I64_MAX, so that every value
-    and every product of two residues is exact in int64.
-
-    The sieving primes are the odd p <= isqrt(f(n_max)) not dividing q, or
-    fewer (QUADRATIC_REACH, QUADRATIC_PRIME_CAP); each root of
-    q t^2 + a = 0 (mod p) hits every p-th odd n.  Per value the
-    engine counts the distinct sieved primes and keeps one of them.  With
-    exactly one, it is divided out, and a rest of 1 makes the value its
-    power.  With none, the value is prime below the square of the largest
-    sieving prime and goes to arith.prime_power_base above it.  Any other
-    value is not a prime power.
+    divides a value, and f(n_max) <= 2**64 - 1.  The sieving primes are the
+    odd p <= isqrt(f(n_max)) not dividing q, or fewer (QUADRATIC_REACH,
+    QUADRATIC_PRIME_CAP); each root of q t^2 + a = 0 (mod p) hits every
+    p-th odd n.
     """
     q, a = spec.q, spec.a
-    if q * n_max * n_max + abs(a) > arith.I64_MAX:
-        raise ValueError("q n^2 + |a| must not pass 2**63 - 1")
+    if spec.value_at(n_max) > arith.U64_MAX:
+        raise ValueError("q n^2 + a must not pass 2**64 - 1")
     if math.gcd(q, a) != 1 or (q + a) % 2 == 0:
         raise ValueError("q and a must be coprime with q + a odd")
     start = 1
@@ -235,61 +273,22 @@ def prime_power_values(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, 
         return
     count = (n_max - start) // 2 + 1
     bound = min(math.isqrt(spec.value_at(n_max)), QUADRATIC_REACH * count, QUADRATIC_PRIME_CAP)
-    prime_top = min((bound + 1) ** 2 - 1, arith.I64_MAX)  # no sieved prime and <= this: prime
-    length = QUADRATIC_SEGMENT_LENGTH
-    # first: the index k of each root's next hit, start + 2k = root (mod p),
-    # relative to this segment.  A prime of at least a segment's length hits
-    # it at most once, so its roots are kept apart and need no expansion.
+    q_u64, a_u64 = np.uint64(q % 2**64), np.uint64(a % 2**64)
+
+    def values_at(k0: int, size: int) -> np.ndarray:
+        n = np.arange(start + 2 * k0, start + 2 * (k0 + size), 2, dtype=np.uint64)
+        return n * n * q_u64 + a_u64  # mod 2**64, exact: each value is below it
+
+    # first: the index k of each root's first hit, start + 2k = root (mod p).
     blocks = [(np.zeros(0, dtype=np.int64),) * 2]
     for p, root in _quadratic_roots(q, a, bound):
         blocks.append((p, (root - start) % p * ((p + 1) >> 1) % p))
-    p_arr, first = (np.concatenate(part) for part in zip(*blocks))
+    segments = _sieve(values_at, count, QUADRATIC_SEGMENT_LENGTH,
+                      *(np.concatenate(part) for part in zip(*blocks)))
     del blocks
-    short = p_arr < length
-    p_short, first_short = p_arr[short], first[short]
-    p_long, first_long = p_arr[~short], first[~short]
-    del p_arr, first
-
-    for k0 in range(0, count, length):
-        size = min(length, count - k0)
-        n = np.arange(start + 2 * k0, start + 2 * (k0 + size), 2, dtype=np.int64)
-        values = q * n * n + a
-        pos, prime = _hits(first_short, p_short, size)
-        once = np.flatnonzero(first_long < size)
-        pos = np.concatenate((pos, first_long[once]))
-        prime = np.concatenate((prime, p_long[once]))
-        if np.any(values[pos] % prime):
-            raise ArithmeticError("sieve root misses its prime")
-        distinct = np.bincount(pos, minlength=size)
-        base = values.copy()
-        base[pos] = prime
-        del pos, prime  # free before the next segment's hits are expanded
-        exponent = np.zeros(size, dtype=np.int64)
-
-        one = np.flatnonzero(distinct == 1)
-        lone_prime = base[one]
-        rest = values[one] // lone_prime
-        power = np.ones_like(one)
-        deeper = np.flatnonzero(rest % lone_prime == 0)
-        while deeper.size:
-            rest[deeper] //= lone_prime[deeper]
-            power[deeper] += 1
-            deeper = deeper[rest[deeper] % lone_prime[deeper] == 0]
-        exponent[one] = np.where(rest == 1, power, 0)
-
-        none = np.flatnonzero(distinct == 0)
-        exponent[none] = values[none] <= prime_top
-        for i in none[values[none] > prime_top].tolist():
-            found = arith.prime_power_base(int(values[i]))
-            if found is not None:
-                base[i], exponent[i] = found
-
-        hit = np.flatnonzero(exponent)
-        yield from zip(n[hit].tolist(), values[hit].tolist(), base[hit].tolist(),
-                       exponent[hit].tolist())
-        first_short = (first_short - length) % p_short
-        first_long -= length  # every segment but the last has size == length
-        first_long[once] += p_long[once]
+    for k0, index, value, base, exponent in _prime_powers(segments, _prime_top(bound)):
+        n = start + 2 * (k0 + index)
+        yield from zip(n.tolist(), value.tolist(), base.tolist(), exponent.tolist())
 
 
 def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -297,23 +296,24 @@ def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, n
     (mod p) for the odd primes p <= bound not dividing q, p once per root.
 
     They are t = s / q for the roots s of s^2 = -a q (mod p): 0 alone when p
-    divides a, else two or none.  Needs bound**2 and q, |a| within int64.
+    divides a, else two or none.  Needs bound < 2**27; q and a may be any
+    size.
     """
     for block in arith.prime_blocks(bound):
-        p = block[(block > 2) & (q % block != 0)]
-        c = (-a) % p * (q % p) % p
+        p = block[(block > 2) & (arith.residues(q, block) != 0)]
+        c = arith.residues(-a, p) * arith.residues(q, p) % p
         zero = c == 0
         split, c = p[~zero], c[~zero]
         square, s = _square_roots(c, split)
         split, s = split[square], s[square]
-        t = s * arith.power_mod(q, split - 2, split) % split
+        t = s * arith.power_mod(arith.residues(q, split), split - 2, split) % split
         yield (np.concatenate((p[zero], split, split)),
                np.concatenate((np.zeros(np.count_nonzero(zero), dtype=np.int64), t, split - t)))
 
 
 def _square_roots(c: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(square, t): whether c is a square mod the odd prime p, and where it
-    is, a t with t*t = c (mod p); 0 < c < p and p*p <= I64_MAX.
+    is, a t with t*t = c (mod p); 0 < c < p and p*p < 2**63.
 
     Tonelli-Shanks on every p at once, with p - 1 = Q 2**s.
     t = c**((Q+1)/2) is a root when u = c**Q is 1, as for every square mod

@@ -325,7 +325,7 @@ def test_euler_product_carries_the_product_across_segments():
 def test_residues_and_characters_are_exact_for_unbounded_integers():
     primes = np.array(arith.primes_up_to(2000)[1:], dtype=np.int64)
     for m in (0, 1, -1, -4, 10**29 + 1, -(10**29 + 1), -(3**90), 2**200 + 7):
-        residues = asymptotics._residues(m, primes)
+        residues = arith.residues(m, primes)
         assert residues.tolist() == [m % p for p in primes.tolist()], m
         characters = asymptotics._characters(m, primes)
         assert characters.tolist() == [arith.jacobi(m % p, p) for p in primes.tolist()], m

@@ -341,6 +341,18 @@ def test_oversized_ramanujan_sweep_refused_before_it_starts(capsys, monkeypatch)
     assert out == "" and err.startswith("error: direct sums capped")
 
 
+def test_oversized_count_refused_before_it_starts(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(arith, "is_prime", never)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["count", "--q", "1", "--a", "1", "--n-max", "4000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and err.startswith("error: n_max capped")
+
+
 def test_ramanujan_at_the_largest_prime_below_the_direct_cap(capsys):
     start = time.perf_counter()
     code, out, err = _run(capsys, ["ramanujan", "--q", "999983", "--m", "5", "--output", "json"])

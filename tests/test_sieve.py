@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ except ImportError:
 # hypothesis only they skip; the pinned tests below run either way.
 needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 DIFF = dict(deadline=None, derandomize=True, max_examples=60)
+I64_MAX = 2**63 - 1
 
 
 @contextlib.contextmanager
@@ -233,24 +235,27 @@ def test_psi2_sieves_from_the_crossover(sieved, n_max, sieves):
     assert sieved == ([n_max, n_max] if sieves else [])
 
 
-def test_psi2_scans_per_value_past_int64(sieved):
-    # q n^2 + 2 fits in int64 up to n = 4999 and passes it at 5001.  At 4999
-    # the square root of f is 3e9, so the sieving primes stop at 32 times the
+def test_psi2_sieves_past_int64(sieved):
+    # q n^2 + 2 fits in int64 up to n = 4999 and passes it at 5001; it fits
+    # in 64 bits up to n_top.  All three are sieved in uint64.  At 4999 the
+    # square root of f is 3e9, so the sieving primes stop at 32 times the
     # 2,500 odd n.
-    q = arith.I64_MAX // 5000**2 - 1
+    q = I64_MAX // 5000**2 - 1
     spec = poly.check_admissible(q, 2)
-    assert spec.admissible and q * 4999**2 + 2 <= arith.I64_MAX < q * 5001**2 + 2
-    for n_max in (4999, 5001):
+    assert spec.admissible and q * 4999**2 + 2 <= I64_MAX < q * 5001**2 + 2
+    n_top = math.isqrt((arith.U64_MAX - 2) // q)
+    assert spec.value_at(n_top) <= arith.U64_MAX < spec.value_at(n_top + 1)
+    for n_max in (4999, 5001, n_top):
         routed = asymptotics.psi2_count(spec, n_max * n_max, collect_hits=True)
         assert routed.hits == tuple(asymptotics._per_value_hits(spec, n_max))
-    assert sieved == [4999]
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        next(sieve.prime_power_values(spec, 5001))
+    assert sieved == [4999, 5001, n_top]
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        next(sieve.prime_power_values(spec, n_top + 1))
 
 
 def _quadratics(draw) -> tuple[poly.PolynomialSpec, int]:
     """An admissible spec and an n_max, with f < 2 at small n in reach and half
-    the draws with q n_max^2 + |a| near 2**63 - 1."""
+    the draws with q n_max^2 + a near 2**64 - 1, some of them with |a| >= 2**63."""
     n_max = draw(st.one_of(
         st.integers(1, 400),
         # odd n <= 128 k - 1 fill k segments of 64
@@ -258,7 +263,9 @@ def _quadratics(draw) -> tuple[poly.PolynomialSpec, int]:
     ))
     a = draw(st.integers(-300, 300))
     if draw(st.booleans()):
-        top = (arith.I64_MAX - abs(a)) // (n_max * n_max)
+        a = draw(st.one_of(st.just(a), st.integers(-(2**64), -(2**63)),
+                           st.integers(2**63, arith.U64_MAX - n_max * n_max)))
+        top = (arith.U64_MAX - a) // (n_max * n_max)
         q = draw(st.integers(max(1, top - 2**20), top))
     else:
         q = draw(st.integers(1, 60))
@@ -280,9 +287,10 @@ def test_prime_power_values_match_per_value_property(monkeypatch):
 
 
 # (q, a) for the roots of q t^2 + a: with a = 0 and primes dividing a (root 0
-# only), q with odd prime factors (no roots there), and |a| near 2**62.
+# only), q with odd prime factors (no roots there), |a| near 2**62, and q or
+# |a| past int64.
 ROOT_SPECS = [(4, 1), (1, 1), (2, -1), (3, 2), (15, 2), (2, 15), (1, 0), (7, -2), (1000003, 2),
-              (1, -(2**62) - 1), (2**40, 3**25)]
+              (1, -(2**62) - 1), (2**40, 3**25), (2**63 + 1, 2), (1, -(2**63) - 5)]
 
 
 def _roots(q: int, a: int, bound: int) -> dict[int, list[int]]:
@@ -315,7 +323,7 @@ def test_square_roots_near_the_int64_reach():
     primes += [998244353, 469762049, 2013265921]
     rng = np.random.default_rng(18)
     for p in primes:
-        assert p * p <= arith.I64_MAX
+        assert p * p <= I64_MAX
         c = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
         square, t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64))
         for ci, si, ti in zip(c.tolist(), square.tolist(), t.tolist()):
@@ -346,3 +354,47 @@ def test_corrupted_root_raises_at_its_first_hit(monkeypatch):
     segment_start = first_hit - first_hit % 128 + 1  # odd n of 64-value segments
     oracle = [hit for hit in asymptotics._per_value_hits(spec, 3001) if hit[0] < segment_start]
     assert seen == oracle
+
+
+def test_sieve_values_and_primes_are_uint64(monkeypatch):
+    # uint64 mixed with int64 becomes float64, which loses bits past 2**53,
+    # under numpy 1.24's promotion rules as under numpy 2's.
+    seen = []
+    real = sieve._sieve
+
+    def spy(*args):
+        for k0, values, pos, prime in real(*args):
+            seen.append((values.dtype, prime.dtype))
+            yield k0, values, pos, prime
+
+    monkeypatch.setattr(sieve, "_sieve", spy)
+    sieve._one_segment_lambda.cache_clear()
+    uint64 = np.dtype(np.uint64)
+    q = I64_MAX // 5000**2 - 1
+    for run in (lambda: sieve.linear_lambda(poly.check_admissible(4, 1), 10**4),
+                lambda: sieve.square_flags(10**4),
+                lambda: sieve.prime_power_values(poly.check_admissible(q, 2), 5001)):
+        seen.clear()
+        assert list(run())
+        assert seen and set(seen) == {(uint64, uint64)}
+    sieve._one_segment_lambda.cache_clear()
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_routes_keep_their_memory():
+    # Traced peaks: 8.57 MB for verify_liouville(1e5) and 1.49 MB for psi2 at
+    # 1e10 before the two engines were merged, 6.56 and 1.49 MB after, and
+    # 8.59 and 1.69 MB when no reader drops a segment's hits before the next
+    # segment's are expanded.
+    liouville = _traced_peak(lambda: verification.verify_liouville(10**5))
+    assert liouville < 8 * 10**6, liouville
+    psi2 = _traced_peak(lambda: asymptotics.psi2_count(poly.check_admissible(4, 1), 10**10))
+    assert psi2 < 1.65 * 10**6, psi2
