@@ -5,18 +5,22 @@ by sieve.prime_power_values, which sieves f over the odd n with the roots of
 f mod each prime, from 2,048 odd n on.  A shorter scan tests each f(n) with
 arith.prime_power_base (primality plus perfect powers), which stays the
 sieve's oracle.  Neither route factors values the way the identity module
-does, so the two paths stay independent cross-checks.  Density constants
-come from truncated Euler products over odd primes in two variants that
-differ in their denominator convention; both are computed rather than
-picking one, and compare_asymptotic tabulates the measured psi2 against the
-predicted (c_f / 2) * sqrt(x) curve.
+does, so the two paths stay independent cross-checks.  One exact tally
+adds the hits' log terms as a Python int of units of 2**-53 and reads it
+at each n_max asked for: psi2_count and count_primes_poly at one,
+compare_asymptotic at each row's sqrt(x).  Density constants come from
+truncated Euler products over odd primes in two variants that differ in
+their denominator convention; both are computed rather than picking one,
+in one pass over the primes, and compare_asymptotic tabulates the measured
+psi2 against the predicted (c_f / 2) * sqrt(x) curve.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +35,14 @@ EULER_CUTOFF_MAX = 10**8
 # 1e6, and 58.6 s and 164 MB at 1e7, on a 2-core VM.  At those rates, about
 # 6 us and 13 bytes per n, the cap is about ten minutes and 1.3 GB.
 COUNT_N_MAX = 10**8
+# psi2_count and compare_asymptotic scan the odd n up to sqrt(x): for
+# 4n^2 + 1, 79.2 s and 128 MB peak RSS at x = 1e15, and 200 s and 129 MB at
+# the cap, on a 2-core VM.
+PSI2_X_MAX = 3 * 10**15
+# A comparison table has at most min(steps, x_max) rows.  compare --output
+# json took about 1 KB of peak RSS and 25 us per row (242 MB and 5.6 s for
+# 209,964 rows at x_max = 1e12), so at the cap memory binds: about 1 GB.
+COMPARE_ROWS_MAX = 10**6
 
 # Scans of fewer odd n test each value instead of sieving: below about this
 # many the sieve's fixed cost, the roots of every prime up to sqrt(f), is
@@ -101,36 +113,45 @@ def _per_value_hits(spec: PolynomialSpec, n_max: int) -> Iterator[tuple[int, int
             yield (n, value, *pp)
 
 
+def _tally(
+    hits: Iterable[tuple[int, int, int, int]], n_maxes: Iterable[int]
+) -> Iterator[tuple[float, int]]:
+    """(psi, prime count) over the hits with n <= n_max, for each ascending
+    n_max, reading the (n, f(n), base prime, exponent) hits once; no hit
+    may lie past the last n_max.
+
+    Each log term is ln p >= ln 2 > 1/2, a double whose last bit is worth
+    at least 2**-53, so it is a whole number of units of 2**-53 and one
+    Python int adds the terms exactly (R. M. Neal's integer bins, arXiv:
+    1505.05571, with one bin).  int / int is correctly rounded, half to
+    even, so each psi has math.fsum's bits over the same terms.
+    """
+    units = primes = 0
+    n_maxes = iter(n_maxes)
+    n_max = next(n_maxes)
+    for n, _, base, exponent in hits:
+        if n > n_max:
+            # One division serves every row before this hit.
+            row = units / 2**53, primes
+            while n > n_max:
+                yield row
+                n_max = next(n_maxes)
+        units += int(math.log(base) * 2.0**53)
+        if exponent == 1:
+            primes += 1
+    row = units / 2**53, primes
+    yield row
+    for _ in n_maxes:
+        yield row
+
+
 def _count_result(
     spec: PolynomialSpec, n_max: int, hits: Iterator[tuple[int, int, int, int]], collect: bool
 ) -> CountResult:
-    """Tally (n, f(n), base prime, exponent) hits: psi is math.fsum of
-    ln(base), the correctly rounded sum.
-
-    math.fsum reads the log terms from a generator and keeps only its few
-    partials, so a long tally holds no list of them.
-    """
-    kept: list[tuple[int, int, int, int]] = []
-    prime_count = 0
-
-    def log_terms() -> Iterator[float]:
-        nonlocal prime_count
-        for hit in hits:
-            _, _, base, exponent = hit
-            if exponent == 1:
-                prime_count += 1
-            if collect:
-                kept.append(hit)
-            yield math.log(base)
-
-    psi_value = math.fsum(log_terms())
-    return CountResult(
-        spec=spec,
-        n_max=n_max,
-        psi_value=psi_value,
-        prime_count=prime_count,
-        hits=tuple(kept) if collect else None,
-    )
+    """The CountResult of (n, f(n), base prime, exponent) hits with n <= n_max."""
+    kept = tuple(hits) if collect else None
+    psi_value, prime_count = next(_tally(hits if kept is None else kept, [n_max]))
+    return CountResult(spec, n_max, psi_value, prime_count, kept)
 
 
 def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> CountResult:
@@ -139,9 +160,12 @@ def psi2_count(spec: PolynomialSpec, x: int, collect_hits: bool = False) -> Coun
     The hits come from _prime_power_hits: the quadratic sieve for scans of
     2,048 odd n or more, per-value primality and perfect-power tests
     otherwise, with the same hits either way.  This is the scale path,
-    independent of the factorization-backed identity path.
+    independent of the factorization-backed identity path.  An x above
+    PSI2_X_MAX is refused with CapacityError before any scan.
     """
     require_admissible(spec, x)
+    if x > PSI2_X_MAX:
+        raise CapacityError(f"x capped at {PSI2_X_MAX}")
     n_max = math.isqrt(x)
     return _count_result(spec, n_max, _prime_power_hits(spec, n_max), collect_hits)
 
@@ -224,10 +248,11 @@ def _class_characters(m: int) -> Callable[[np.ndarray], np.ndarray]:
     return characters
 
 
-def bateman_horn_constant(
-    spec: PolynomialSpec, cutoff: int, variant: str = "hl"
-) -> EulerProductReport:
-    """Truncated Euler product over odd primes p <= cutoff.
+def euler_products(
+    spec: PolynomialSpec, cutoff: int, variants: Sequence[str]
+) -> tuple[EulerProductReport, ...]:
+    """Truncated Euler products over odd primes p <= cutoff, one report per
+    convention in variants, from one pass over the primes.
 
     Two conventions are implemented side by side rather than reconciled:
 
@@ -239,27 +264,30 @@ def bateman_horn_constant(
     variant is kept as reported data.  The trace samples the partial
     product after each power of ten.
 
-    The primes come in sieve blocks.  By Jacobi reciprocity chi(p) depends
-    only on p mod 4|a q|, so Euler's criterion runs once per class of that
-    period and a table serves the later primes, while 4|a q| <=
-    arith.SEGMENT_SIZE (see _class_characters); past that bound, or for
-    a = 0, it runs on every prime.  Each factor is one IEEE operation on
-    exact integers, and np.multiply.accumulate multiplies strictly in
-    sequence, so every partial product equals the prime-by-prime loop's.
+    The primes come in sieve blocks.  Each block's primes, characters,
+    p | q mask and trace positions serve every convention; each convention
+    then builds its own factors, one convention at a time.  By Jacobi
+    reciprocity chi(p) depends only on p mod 4|a q|, so Euler's criterion
+    runs once per class of that period and a table serves the later
+    primes, while 4|a q| <= arith.SEGMENT_SIZE (see _class_characters);
+    past that bound, or for a = 0, it runs on every prime.  Each factor is
+    one IEEE operation on exact integers, and np.multiply.accumulate
+    multiplies strictly in sequence, so every partial product equals the
+    prime-by-prime loop's.
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
     if cutoff > EULER_CUTOFF_MAX:
         raise CapacityError(f"cutoff capped at {EULER_CUTOFF_MAX}")
-    if variant not in ("paper", "hl"):
-        raise ValueError(f"unknown variant {variant!r}")
+    for variant in variants:
+        if variant not in ("paper", "hl"):
+            raise ValueError(f"unknown variant {variant!r}")
 
     epsilon = epsilon_factor(spec.q)
     character_of_one = spec.q == 1 and spec.a == 1
-    product = float(epsilon) if variant == "paper" else 1.0
-    trace: list[tuple[int, float]] = []
+    products = [float(epsilon) if variant == "paper" else 1.0 for variant in variants]
+    traces: list[list[tuple[int, float]]] = [[] for _ in variants]
     marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
-    mark_index = 0
     last_prime = 0
     characters = _class_characters(-spec.a * spec.q)
 
@@ -269,61 +297,45 @@ def bateman_horn_constant(
             continue
         as_float = primes.astype(np.float64)
         chi = characters(primes).astype(np.float64)
-        denominator = as_float if variant == "paper" else as_float - 1.0
-        factors = np.where(
-            arith.residues(spec.q, primes) == 0, as_float / (as_float - 1.0), 1.0 - chi / denominator
-        )
-        if character_of_one and variant == "hl":
-            # For t^2 + 1 the factor must straddle 1 according to p mod 4.
-            wrong = np.flatnonzero((factors < 1.0) != (primes % 4 == 1))
-            if wrong.size:
-                i = wrong[0]
-                raise ArithmeticError(
-                    f"factor {float(factors[i])} on wrong side of 1 at p={int(primes[i])}"
-                )
-        partials = np.multiply.accumulate(np.concatenate(([product], factors)))[1:]
-        while mark_index < len(marks) and primes[-1] > marks[mark_index]:
-            # The partial product just before the first prime past the mark.
-            i = int(np.searchsorted(primes, marks[mark_index], side="right"))
-            if i:
-                trace.append((int(primes[i - 1]), float(partials[i - 1])))
-            else:
-                trace.append((last_prime, product))
-            mark_index += 1
+        divides_q = arith.residues(spec.q, primes) == 0
+        # The marks this block passes, and how many of its primes precede
+        # each: the partial product just before the first prime past it.
+        passed = bisect.bisect_left(marks, primes[-1])
+        stops = np.searchsorted(primes, marks[:passed], side="right")
+        mark_primes = np.where(stops, primes[stops - 1], last_prime).tolist()
+        del marks[:passed]
+        for j, variant in enumerate(variants):
+            denominator = as_float if variant == "paper" else as_float - 1.0
+            factors = np.where(divides_q, as_float / (as_float - 1.0), 1.0 - chi / denominator)
+            if character_of_one and variant == "hl":
+                # For t^2 + 1 the factor must straddle 1 according to p mod 4.
+                wrong = np.flatnonzero((factors < 1.0) != (primes % 4 == 1))
+                if wrong.size:
+                    i = wrong[0]
+                    raise ArithmeticError(
+                        f"factor {float(factors[i])} on wrong side of 1 at p={int(primes[i])}"
+                    )
+            partials = np.multiply.accumulate(np.concatenate(([products[j]], factors)))
+            traces[j].extend(zip(mark_primes, partials[stops].tolist()))
+            products[j] = float(partials[-1])
+            # Free this convention's arrays before the next one's.
+            del denominator, factors, partials
         last_prime = int(primes[-1])
-        product = float(partials[-1])
 
-    if not trace or trace[-1][0] != last_prime:
-        trace.append((last_prime, product))
-    return EulerProductReport(
-        spec=spec,
-        variant=variant,
-        cutoff=cutoff,
-        epsilon=epsilon,
-        estimate=product,
-        trace=tuple(trace),
+    # A mark's prime precedes a prime of its block, so the last prime of
+    # all closes every trace.
+    return tuple(
+        EulerProductReport(spec, variant, cutoff, epsilon, product, (*trace, (last_prime, product)))
+        for variant, product, trace in zip(variants, products, traces)
     )
 
 
-def _add_exactly(partials: list[float], value: float) -> None:
-    """Add value to partials, a nonoverlapping expansion of an exact sum.
-
-    Shewchuk's grow-expansion step, as math.fsum keeps its partials: the
-    exact sum of partials gains exactly value, so math.fsum(partials) is the
-    correctly rounded sum of every value added.  J. R. Shewchuk, Discrete
-    Comput. Geom. 18 (1997).
-    """
-    i = 0
-    for other in partials:
-        if abs(value) < abs(other):
-            value, other = other, value
-        high = value + other
-        low = other - (high - value)
-        if low:
-            partials[i] = low
-            i += 1
-        value = high
-    partials[i:] = [value]
+def bateman_horn_constant(
+    spec: PolynomialSpec, cutoff: int, variant: str = "hl"
+) -> EulerProductReport:
+    """The truncated Euler product over odd primes p <= cutoff in one
+    convention, "hl" or "paper" (see euler_products)."""
+    return euler_products(spec, cutoff, (variant,))[0]
 
 
 def _schedule(x_max: int, steps: int) -> list[int]:
@@ -391,30 +403,27 @@ def compare_asymptotic(
 
     The constant is the hl-variant product at the given cutoff, the only
     convention that matches the stated numeric value for t^2 + 1.  The odd
-    n up to sqrt(x_max) are scanned once.  Each row's psi2 is the correctly
-    rounded sum of its prefix of log terms, the same terms psi2_count(spec,
-    x) sums, so the two agree bit for bit; a running exact sum makes the
-    table cost the scan plus the rows.
+    n up to sqrt(x_max) are scanned once, and one exact tally is read at
+    each row's sqrt(x), so each row's psi2 is psi2_count(spec, x)'s bit for
+    bit and the table costs the scan plus the rows.  An x_max above
+    PSI2_X_MAX, or min(steps, x_max) above COMPARE_ROWS_MAX, is refused with
+    CapacityError before any work.
     """
     require_admissible(spec, x_max, "x_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if x_max > PSI2_X_MAX:
+        raise CapacityError(f"x_max capped at {PSI2_X_MAX}")
+    rows_max = min(steps, x_max)
+    if rows_max > COMPARE_ROWS_MAX:
+        raise CapacityError(f"rows capped at {COMPARE_ROWS_MAX}: min(steps, x_max) = {rows_max}")
 
     constant = bateman_horn_constant(spec, cutoff, "hl").estimate
     xs = _schedule(x_max, steps)
-
-    # One scan of the odd n up to sqrt(x_max), read row by row: the hits up
-    # to each row's sqrt(x) join one running exact sum of their log terms.
+    # One scan of the odd n up to sqrt(x_max), tallied at each row's sqrt(x).
     hits = _prime_power_hits(spec, math.isqrt(x_max))
-    hit = next(hits, None)
-    partials: list[float] = []
     rows: list[ComparisonRow] = []
-    for x in xs:
-        n_max = math.isqrt(x)
-        while hit is not None and hit[0] <= n_max:
-            _add_exactly(partials, math.log(hit[2]))
-            hit = next(hits, None)
-        psi = math.fsum(partials)
+    for x, (psi, _) in zip(xs, _tally(hits, [math.isqrt(x) for x in xs])):
         conjectured = 0.5 * constant * math.sqrt(x)
         rows.append(ComparisonRow(x=x, psi2=psi, conjectured=conjectured, ratio=psi / conjectured))
     return rows

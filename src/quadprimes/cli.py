@@ -194,9 +194,8 @@ def _cmd_count(args: argparse.Namespace) -> Report:
 
 def _cmd_constant(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
-    report = asymptotics.bateman_horn_constant(spec, args.cutoff, args.variant)
     other_variant = "paper" if args.variant == "hl" else "hl"
-    other = asymptotics.bateman_horn_constant(spec, args.cutoff, other_variant)
+    report, other = asymptotics.euler_products(spec, args.cutoff, (args.variant, other_variant))
     return (
         {"q": args.q, "a": args.a, "variant": args.variant, "cutoff": args.cutoff},
         {

@@ -322,6 +322,37 @@ def test_euler_product_carries_the_product_across_segments():
         assert _bits(report.estimate, report.trace) == _bits(*expected[variant]), variant
 
 
+@pytest.mark.parametrize("cutoff", [10**4 + 7, 2 * arith.SEGMENT_SIZE + 1])
+def test_one_pass_equals_one_convention_reports_bitwise(cutoff):
+    for q, a in EULER_SPECS:
+        spec = identity.check_admissible(q, a)
+        both = asymptotics.euler_products(spec, cutoff, ("hl", "paper"))
+        swapped = asymptotics.euler_products(spec, cutoff, ("paper", "hl"))
+        assert both == swapped[::-1], (q, a)
+        for report in both:
+            assert report == asymptotics.bateman_horn_constant(spec, cutoff, report.variant), (
+                q, a, report.variant)
+
+
+# tracemalloc peak of one hl product of t^2 + 1 at cutoff 1e6, in a fresh
+# process, before both conventions shared one pass.  Both in one pass peak at
+# 934,782 bytes; without freeing each convention's arrays before the next
+# one's, at 1,048,886.
+EULER_PEAK_BOUND = 1_037_010
+
+
+def test_both_conventions_keep_their_memory():
+    spec = _spec(1, 1)
+    tracemalloc.start()
+    try:
+        reports = asymptotics.euler_products(spec, 10**6, ("hl", "paper"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [report.variant for report in reports] == ["hl", "paper"]
+    assert peak < EULER_PEAK_BOUND, peak
+
+
 def test_residues_and_characters_are_exact_for_unbounded_integers():
     primes = np.array(arith.primes_up_to(2000)[1:], dtype=np.int64)
     for m in (0, 1, -1, -4, 10**29 + 1, -(10**29 + 1), -(3**90), 2**200 + 7):
@@ -487,16 +518,24 @@ def test_compare_rows_equal_prefix_fsums_bitwise():
 
 
 @needs_hypothesis
-def test_running_exact_sum_rounds_like_fsum():
-    finite = st.floats(-1e300, 1e300, allow_nan=False)
+def test_tally_rounds_like_fsum_at_every_checkpoint():
+    # Prime bases over the whole 64-bit range, each row's value checked
+    # against math.fsum over its prefix of log terms.
+    base = st.integers(2, arith.LARGEST_U64_PRIME).map(lambda b: arith.next_prime_above(b - 1))
+    edges = st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1, arith.LARGEST_U64_PRIME])
 
     @settings(deadline=None, derandomize=True, max_examples=300)
-    @given(st.lists(st.one_of(finite, st.floats(-1e-300, 1e-300)), max_size=40))
-    def check(values: list[float]) -> None:
-        partials: list[float] = []
-        for i, value in enumerate(values):
-            asymptotics._add_exactly(partials, value)
-            assert math.fsum(partials).hex() == math.fsum(values[: i + 1]).hex()
+    @given(st.lists(st.tuples(st.one_of(base, edges), st.integers(1, 3)), max_size=60),
+           st.lists(st.integers(0, 130), min_size=1, max_size=12))
+    def check(terms: list[tuple[int, int]], checkpoints: list[int]) -> None:
+        hits = [(2 * i + 1, p**k, p, k) for i, (p, k) in enumerate(terms)]
+        n_maxes = sorted(checkpoints) + [2 * len(hits)]
+        rows = list(asymptotics._tally(iter(hits), n_maxes))
+        assert len(rows) == len(n_maxes)
+        for n_max, (psi, primes) in zip(n_maxes, rows):
+            prefix = [hit for hit in hits if hit[0] <= n_max]
+            assert psi.hex() == math.fsum(math.log(hit[2]) for hit in prefix).hex(), n_max
+            assert primes == sum(hit[3] == 1 for hit in prefix), n_max
 
     check()
 

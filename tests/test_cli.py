@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quadprimes import arith, cli, ramanujan
+from quadprimes import arith, asymptotics, cli, ramanujan, sieve
 
 
 def _run(capsys, argv):
@@ -192,6 +192,20 @@ def test_constant_reports_epsilon_and_other_variant(capsys):
     assert payload["diagnostics"]["difference"] > 0.5
 
 
+def test_constant_sieves_the_primes_once(capsys, monkeypatch):
+    real_prime_blocks = arith.prime_blocks
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return real_prime_blocks(limit)
+
+    monkeypatch.setattr(arith, "prime_blocks", spy)
+    code, _, err = _run(capsys, ["constant", "--q", "1", "--a", "1", "--cutoff", "100000"])
+    assert (code, err) == (0, "")
+    assert limits == [100000]
+
+
 def test_verify_identity_exit_code_and_counterexamples(capsys):
     code, out, _ = _run(
         capsys,
@@ -351,6 +365,27 @@ def test_oversized_count_refused_before_it_starts(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == "" and err.startswith("error: n_max capped")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["psi2", "--q", "4", "--a", "1", "--x", "4000000000000000000"], "error: x capped"),
+    (["compare", "--q", "4", "--a", "1", "--x-max", "4000000000000000000", "--steps", "8"],
+     "error: x_max capped"),
+    (["compare", "--q", "4", "--a", "1", "--x-max", "1000000000000", "--steps", "1000000000000"],
+     "error: rows capped"),
+])
+def test_oversized_psi2_and_compare_refused_before_they_start(capsys, monkeypatch, argv, message):
+    def never(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(arith, "prime_blocks", never)
+    monkeypatch.setattr(sieve, "prime_power_values", never)
+    monkeypatch.setattr(asymptotics, "_per_value_hits", never)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and err.startswith(message)
 
 
 def test_ramanujan_at_the_largest_prime_below_the_direct_cap(capsys):
