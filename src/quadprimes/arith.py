@@ -9,6 +9,8 @@ Key functions:
     jacobi(a, n): Jacobi symbol via binary reciprocity
     residues(m, primes): any int m reduced mod an int64 array of primes
     power_mod(base, exponent, modulus): elementwise modular powers of int64 arrays
+    characters(m, primes), class_characters(m): Legendre symbols (m | p) on
+        int64 prime arrays, by Euler's criterion once per class of p mod 4|m|
     ExactSum: correctly rounded sum of float64 arrays in integer exponent bins
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
     prime_blocks(limit): the segmented sieve's primes as int64 arrays
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -43,9 +45,16 @@ TRIAL_DIVISION_BOUND = 4096
 # Sieve segment length.  Euler products hold about a dozen int64 and float64
 # temporaries per segment's primes, so the segment also bounds their memory:
 # at 2**17 the scale workload's peak stays below the 2**20 sieve's, with no
-# loss of speed at cutoff 1e8.  An Euler product's table of character classes
-# is kept to at most this many entries too.
+# loss of speed at cutoff 1e8.  A class_characters table of character
+# classes is kept to at most this many entries too.
 SEGMENT_SIZE = 1 << 17
+
+# The largest modulus whose residues multiply exactly in int64:
+# isqrt(2**63 - 1) = 3,037,000,499, as power_mod needs.  residues is exact
+# further, for every prime below 2**32.  class_characters refuses a larger
+# prime; the Euler products (cutoff <= 10**8) and the quadratic sieve
+# (primes <= 2**25) stay far below it.
+INT64_PRIME_MAX = math.isqrt(2**63 - 1)
 
 # The 54 primes below 256 and their product.  One gcd with the product finds
 # every small prime factor at once; what it leaves has no prime factor below
@@ -375,10 +384,11 @@ def jacobi(a: int, n: int) -> int:
 
 
 def residues(m: int, primes: np.ndarray) -> np.ndarray:
-    """m mod p for each p in an int64 array of primes below 2**27, for any int m.
+    """m mod p for each p in an int64 array of primes below 2**32, for any int m.
 
-    Horner's rule over 31-bit limbs of |m| keeps every intermediate below
-    2**58, so the reduction is exact however large m is.
+    Horner's rule over 31-bit limbs of |m| keeps every intermediate
+    (r << 31) + limb below 2**63, so the reduction is exact however large m
+    is, and for every prime up to INT64_PRIME_MAX in particular.
     """
     magnitude = abs(m)
     limbs = []
@@ -396,8 +406,8 @@ def residues(m: int, primes: np.ndarray) -> np.ndarray:
 def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np.ndarray:
     """base**exponent % modulus elementwise, by square-and-multiply on int64.
 
-    Exact while every modulus**2 < 2**63: each product of two residues stays
-    below it.  Exponents are >= 0; the arguments broadcast.
+    Exact for every modulus up to INT64_PRIME_MAX: each product of two
+    residues stays below 2**63.  Exponents are >= 0; the arguments broadcast.
     """
     base = base % modulus
     power = np.ones_like(base)
@@ -406,6 +416,53 @@ def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np
         base = base * base % modulus
         exponent = exponent >> 1
     return power
+
+
+def characters(m: int, primes: np.ndarray) -> np.ndarray:
+    """Legendre symbols (m | p) for an int64 array of odd primes p up to
+    INT64_PRIME_MAX, by Euler's criterion, for any int m: class_characters'
+    step at the first prime of a class.
+
+    r**((p-1)/2) mod p, r = m mod p, is taken on every p at once by
+    power_mod: it is 1 where m is a nonzero square mod p, p - 1 where it is
+    not a square, and 0 where p divides m.
+    """
+    power = power_mod(residues(m, primes), (primes - 1) >> 1, primes)
+    return np.where(power == primes - 1, -1, power)
+
+
+def class_characters(m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from an int64 array of odd primes p to their (m | p): the
+    one Legendre symbol of the Euler products and of the quadratic sieve.
+
+    By Jacobi reciprocity (m | p) depends only on p mod 4|m|, and a class
+    that shares a factor with m holds at most one prime.  So each class's
+    value is taken by characters at the first prime of the class seen, kept
+    in a table of 4|m| entries, and read from it at every later prime.  The
+    table is kept only while 4|m| <= SEGMENT_SIZE, so its bytes never
+    outnumber a sieve segment's flags; for m = 0 or a longer period every
+    prime goes through characters.  A prime above INT64_PRIME_MAX raises
+    ValueError.
+    """
+    period = 4 * abs(m)
+    unknown = 2
+    table = np.full(period if period <= SEGMENT_SIZE else 0, unknown, dtype=np.int8)
+
+    def read(primes: np.ndarray) -> np.ndarray:
+        if np.max(primes, initial=0) > INT64_PRIME_MAX:
+            raise ValueError(f"characters take primes up to {INT64_PRIME_MAX} only")
+        if not table.size:
+            return characters(m, primes)
+        classes = primes % period
+        chi = table[classes]
+        missing = np.flatnonzero(chi == unknown)
+        if missing.size:
+            new, first = np.unique(classes[missing], return_index=True)
+            table[new] = characters(m, primes[missing[first]])
+            chi = table[classes]
+        return chi
+
+    return read
 
 
 # --------------------------------------------------------------------------- #

@@ -11,8 +11,10 @@ at each n_max asked for: psi2_count and count_primes_poly at one,
 compare_asymptotic at each row's sqrt(x).  Density constants come from
 truncated Euler products over odd primes in two variants that differ in
 their denominator convention; both are computed rather than picking one,
-in one pass over the primes, and compare_asymptotic tabulates the measured
-psi2 against the predicted (c_f / 2) * sqrt(x) curve.
+in one pass over the primes, with the characters (-a q | p) of
+arith.class_characters, which the sieve's roots read too.
+compare_asymptotic tabulates the measured psi2 against the predicted
+(c_f / 2) * sqrt(x) curve.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -205,49 +207,6 @@ def epsilon_factor(q: int) -> Fraction:
     return Fraction(1, 1) if q % 2 == 0 else Fraction(1, 2)
 
 
-def _characters(m: int, primes: np.ndarray) -> np.ndarray:
-    """Legendre symbols (m | p) for odd primes p below 2**27, by Euler's criterion.
-
-    r**((p-1)/2) mod p is taken on every p at once by arith.power_mod;
-    each product of two residues stays below 2**54.  Every character value
-    of an Euler product comes from here.  By Jacobi reciprocity (m | p)
-    depends only on p mod 4|m|, so _class_characters asks at one prime per
-    class while 4|m| <= arith.SEGMENT_SIZE, and at every prime otherwise.
-    """
-    power = arith.power_mod(arith.residues(m, primes), (primes - 1) >> 1, primes)
-    return np.where(power == primes - 1, -1, power)
-
-
-def _class_characters(m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function from a block of odd primes p below 2**27 to their (m | p).
-
-    By Jacobi reciprocity (m | p) depends only on p mod 4|m|, and a class
-    that shares a factor with m holds at most one prime.  So each class's
-    value is taken by _characters at the first prime of the class seen, kept
-    in a table of 4|m| entries, and read from it at every later prime.  The
-    table is kept only while 4|m| <= arith.SEGMENT_SIZE, so its bytes never
-    outnumber a sieve segment's flags; for m = 0 or a longer period every
-    prime goes through _characters.
-    """
-    period = 4 * abs(m)
-    if not 0 < period <= arith.SEGMENT_SIZE:
-        return lambda primes: _characters(m, primes)
-    unknown = 2
-    table = np.full(period, unknown, dtype=np.int8)
-
-    def characters(primes: np.ndarray) -> np.ndarray:
-        classes = primes % period
-        chi = table[classes]
-        missing = np.flatnonzero(chi == unknown)
-        if missing.size:
-            new, first = np.unique(classes[missing], return_index=True)
-            table[new] = _characters(m, primes[missing[first]])
-            chi = table[classes]
-        return chi
-
-    return characters
-
-
 def euler_products(
     spec: PolynomialSpec, cutoff: int, variants: Sequence[str]
 ) -> tuple[EulerProductReport, ...]:
@@ -266,11 +225,12 @@ def euler_products(
 
     The primes come in sieve blocks.  Each block's primes, characters,
     p | q mask and trace positions serve every convention; each convention
-    then builds its own factors, one convention at a time.  By Jacobi
-    reciprocity chi(p) depends only on p mod 4|a q|, so Euler's criterion
-    runs once per class of that period and a table serves the later
-    primes, while 4|a q| <= arith.SEGMENT_SIZE (see _class_characters);
-    past that bound, or for a = 0, it runs on every prime.  Each factor is
+    then builds its own factors, one convention at a time.  chi comes from
+    arith.class_characters, the Legendre symbol the quadratic sieve reads
+    too: by Jacobi reciprocity chi(p) depends only on p mod 4|a q|, so
+    Euler's criterion runs once per class of that period and a table serves
+    the later primes, while 4|a q| <= arith.SEGMENT_SIZE; past that bound,
+    or for a = 0, it runs on every prime.  Each factor is
     one IEEE operation on exact integers, and np.multiply.accumulate
     multiplies strictly in sequence, so every partial product equals the
     prime-by-prime loop's.
@@ -289,7 +249,7 @@ def euler_products(
     traces: list[list[tuple[int, float]]] = [[] for _ in variants]
     marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
     last_prime = 0
-    characters = _class_characters(-spec.a * spec.q)
+    characters = arith.class_characters(-spec.a * spec.q)
 
     for block in arith.prime_blocks(cutoff):
         primes = block[block != 2]

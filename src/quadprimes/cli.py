@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -215,7 +214,8 @@ def _cmd_constant(args: argparse.Namespace) -> Report:
 def _cmd_compare(args: argparse.Namespace) -> Report:
     spec = identity.check_admissible(args.q, args.a)
     rows = asymptotics.compare_asymptotic(spec, args.x_max, args.steps, args.cutoff)
-    result = {"rows": [dataclasses.asdict(row) for row in rows]}
+    result = {"rows": [{"x": row.x, "psi2": row.psi2, "conjectured": row.conjectured,
+                        "ratio": row.ratio} for row in rows]}
     if args.csv_path:
         with open(args.csv_path, "w", newline="") as handle:
             handle.write(_comparison_csv(result["rows"]))

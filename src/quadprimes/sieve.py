@@ -15,8 +15,10 @@ to divide its value.  Two kinds of values feed it:
     q*n^2 + a over odd n, the classical sieve for n^2 + 1 (D. Shanks, Math.
         Comp. 14, 1960; M. J. Jacobson Jr. and H. C. Williams, Math. Comp.
         72, 2003): a prime p has up to two roots, the t with
-        q t^2 + a = 0 (mod p), found for a whole arith.prime_blocks block
-        at a time by Tonelli-Shanks.
+        q t^2 + a = 0 (mod p).  The Legendre symbol (-a q | p) of
+        arith.class_characters, the Euler products' own, says how many,
+        and Tonelli-Shanks finds them, a whole arith.prime_blocks block at
+        a time.
 
 Every value lies in [0, 2**64), so both kinds are computed in uint64, with
 q n^2 + a taken mod 2**64, which is exact there; the hits' primes are uint64
@@ -295,47 +297,46 @@ def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, n
     """(p, t) per arith.prime_blocks block: every root t of q t^2 + a = 0
     (mod p) for the odd primes p <= bound not dividing q, p once per root.
 
-    They are t = s / q for the roots s of s^2 = -a q (mod p): 0 alone when p
-    divides a, else two or none.  Needs bound < 2**27; q and a may be any
-    size.
+    They are t = s / q for the roots s of s^2 = -a q (mod p), and the
+    character chi(p) = (-a q | p) of arith.class_characters counts them:
+    where chi = 0, p divides a and 0 is the one root; where chi = 1 there
+    are two, by Tonelli-Shanks; where chi = -1 there are none.  q and a may
+    be any size; bound is at most arith.INT64_PRIME_MAX.
     """
+    characters = arith.class_characters(-a * q)
     for block in arith.prime_blocks(bound):
-        p = block[(block > 2) & (arith.residues(q, block) != 0)]
-        c = arith.residues(-a, p) * arith.residues(q, p) % p
-        zero = c == 0
-        split, c = p[~zero], c[~zero]
-        square, s = _square_roots(c, split)
-        split, s = split[square], s[square]
-        t = s * arith.power_mod(arith.residues(q, split), split - 2, split) % split
-        yield (np.concatenate((p[zero], split, split)),
-               np.concatenate((np.zeros(np.count_nonzero(zero), dtype=np.int64), t, split - t)))
+        p = block[block > 2]
+        q_p, chi = arith.residues(q, p), characters(p)
+        zero, split, q_p = p[(chi == 0) & (q_p != 0)], p[chi == 1], q_p[chi == 1]
+        s = _square_roots(arith.residues(-a, split) * q_p % split, split)
+        t = s * arith.power_mod(q_p, split - 2, split) % split
+        yield (np.concatenate((zero, split, split)),
+               np.concatenate((np.zeros_like(zero), t, split - t)))
 
 
-def _square_roots(c: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(square, t): whether c is a square mod the odd prime p, and where it
-    is, a t with t*t = c (mod p); 0 < c < p and p*p < 2**63.
+def _square_roots(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A t with t*t = c (mod p) for each square 0 < c < p mod an odd prime
+    p <= arith.INT64_PRIME_MAX.
 
     Tonelli-Shanks on every p at once, with p - 1 = Q 2**s.
     t = c**((Q+1)/2) is a root when u = c**Q is 1, as for every square mod
     p = 3 (mod 4), where t is the one power c**((p+1)/4).  u has order 2**i
     with i < s exactly when c is a square; each round multiplies t by a power
     of z**Q, for a non-residue z, so that i falls, on the unfinished entries
-    only.
+    only.  If some c is not a square, or some z is, an i stays where it
+    was, and ArithmeticError is raised instead of looping.
     """
-    odd, s = p - 1, np.zeros_like(p)
-    even = np.flatnonzero(odd & 1 == 0)
-    while even.size:
-        odd[even] >>= 1
-        s[even] += 1
-        even = even[odd[even] & 1 == 0]
+    low = (p - 1) & (1 - p)  # the lowest set bit of p - 1, 2**s
+    odd, s = (p - 1) // low, np.frexp(low)[1].astype(np.int64) - 1
     w = arith.power_mod(c, (odd - 1) >> 1, p)
     t = w * c % p
     u = w * t % p
-    order = _order(u, p, s)
-    square = order < s
 
-    todo = np.flatnonzero(square & (u != 1))
-    pt, m, i, tt, ut = p[todo], s[todo], order[todo], t[todo], u[todo]
+    todo = np.flatnonzero(u != 1)
+    pt, m, tt, ut = p[todo], s[todo], t[todo], u[todo]
+    i = _order(ut, pt, m)
+    if np.any(i == m):
+        raise ArithmeticError("Tonelli-Shanks needs a square")
     g = arith.power_mod(_non_residues(pt), odd[todo], pt)  # order 2**m
     while todo.size:
         b = _square_times(g, m - i - 1, pt)
@@ -343,11 +344,13 @@ def _square_roots(c: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         g = b * b % pt
         ut = ut * g % pt
         m, i = i, _order(ut, pt, i)
+        if np.any(i == m):
+            raise ArithmeticError("Tonelli-Shanks stalls: some z is a square")
         done = i == 0
         t[todo[done]] = tt[done]
         keep = ~done
         todo, pt, m, i, tt, ut, g = todo[keep], pt[keep], m[keep], i[keep], tt[keep], ut[keep], g[keep]
-    return square, t
+    return t
 
 
 def _order(u: np.ndarray, p: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -375,20 +378,16 @@ def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray
 
 
 def _non_residues(p: np.ndarray) -> np.ndarray:
-    """A quadratic non-residue mod each odd prime p: the first prime below 256
-    whose Euler criterion gives -1.  The primes are tried in batches of 1, 2,
-    4, 8 and the rest, as about half of the p left are settled per prime.
-    Every p the sieve reaches has one; none would raise ArithmeticError.
+    """A quadratic non-residue mod each odd prime p: the first prime z below
+    256 with (z | p) = -1, read from arith.class_characters on the p still
+    without one, about half of which each z settles.  Every p the sieve
+    reaches has one; none would raise ArithmeticError.
     """
-    z = np.zeros_like(p)
-    need = np.arange(p.size)
-    candidates = np.array(arith.primes_up_to(256), dtype=np.int64)
-    for batch in np.split(candidates, [1, 3, 7, 15]):
-        pn = p[need]
-        found = arith.power_mod(batch[:, None], (pn - 1) >> 1, pn) == pn - 1
-        hit = found.any(axis=0)
-        z[need[hit]] = batch[found.argmax(axis=0)[hit]]
+    z, need = np.zeros_like(p), np.arange(p.size)
+    for candidate in arith.primes_up_to(256):
+        hit = arith.class_characters(candidate)(p[need]) == -1
+        z[need[hit]] = candidate
         need = need[~hit]
-    if need.size:
-        raise ArithmeticError("no prime non-residue below 256")
-    return z
+        if not need.size:
+            return z
+    raise ArithmeticError("no prime non-residue below 256")

@@ -19,6 +19,11 @@ IDENTITY_PAIRS = ((4, 1), (2, 1), (3, 2), (5, 2), (8, 3))
 IDENTITY_X_VALUES = (16, 36, 100, 144)
 # Direct-sum terms verify_ramanujan may run, about q_max^2/2 * (2 m_max + 1).
 DIRECT_WORK_CAP = 10**9
+# c_N terms verify_parity may run, (x + 1) * floor(sqrt(x)) over both modes.
+# At x = 6,400 and 25,600 a term took 0.9 to 1.0 us on a 2-core VM, and up
+# to 1.25 us under load, so the cap, reached near x = 630,000, is eight to
+# ten minutes.
+PARITY_WORK_CAP = 5 * 10**8
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,14 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
 
 
 def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
-    """Parity sign and sum-value checks for both shift modes at every odd n."""
+    """Parity sign and sum-value checks for both shift modes at every odd n.
+
+    A sweep of more than PARITY_WORK_CAP terms is refused with CapacityError
+    before any check runs.
+    """
     ctx = identity.make_context(x, regime, c)
+    if (work := (x + 1) * ctx.floor_sqrt_x) > PARITY_WORK_CAP:
+        raise CapacityError(f"parity sums capped at {PARITY_WORK_CAP} terms; this one needs {work}")
     return _tally("parity", (
         _caught(ramanujan.parity_sum, ctx, n, mode)
         for mode in ("linear", "quadratic")

@@ -339,3 +339,13 @@ def test_exact_sum_bins_cannot_overflow_within_the_float_work_cap(monkeypatch):
     total.add(np.ones(1))
     with pytest.raises(OverflowError, match="at most 10 values"):
         total.value()
+
+
+def test_characters_refuse_primes_past_the_int64_reach():
+    # Past INT64_PRIME_MAX a product of two residues can leave int64.
+    top = arith.INT64_PRIME_MAX
+    assert top**2 <= 2**63 - 1 < (top + 1) ** 2
+    past = np.array([3, arith.next_prime_above(top)], dtype=np.int64)
+    for m in (-1, 2**40):  # with a class table and without
+        with pytest.raises(ValueError, match="primes up to 3037000499"):
+            arith.class_characters(m)(past)

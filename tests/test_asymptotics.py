@@ -358,7 +358,7 @@ def test_residues_and_characters_are_exact_for_unbounded_integers():
     for m in (0, 1, -1, -4, 10**29 + 1, -(10**29 + 1), -(3**90), 2**200 + 7):
         residues = arith.residues(m, primes)
         assert residues.tolist() == [m % p for p in primes.tolist()], m
-        characters = asymptotics._characters(m, primes)
+        characters = arith.characters(m, primes)
         assert characters.tolist() == [arith.jacobi(m % p, p) for p in primes.tolist()], m
 
 
@@ -389,15 +389,15 @@ def test_euler_products_keep_their_bits_at_large_cutoffs():
 @pytest.mark.parametrize("m", [0, 1, -1, -4, -24, 10**29 + 1, -(3**90), -(arith.SEGMENT_SIZE // 4),
                                arith.SEGMENT_SIZE // 4 + 1, -(arith.SEGMENT_SIZE // 4 - 1)])
 def test_class_characters_match_euler_criterion_and_jacobi(m, monkeypatch):
-    real_characters = asymptotics._characters
+    real_characters = arith.characters
     passed = []
 
     def spy(m, primes):
         passed.extend(primes.tolist())
         return real_characters(m, primes)
 
-    monkeypatch.setattr(asymptotics, "_characters", spy)
-    characters = asymptotics._class_characters(m)
+    monkeypatch.setattr(arith, "characters", spy)
+    characters = arith.class_characters(m)
     blocks = [block[block != 2] for block in arith.prime_blocks(2 * arith.SEGMENT_SIZE + 1000)]
     assert len(blocks) == 4
     for primes in blocks:
@@ -413,14 +413,14 @@ def test_class_characters_match_euler_criterion_and_jacobi(m, monkeypatch):
 
 
 def test_euler_product_takes_each_class_once(monkeypatch):
-    real_characters = asymptotics._characters
+    real_characters = arith.characters
     counts = []
 
     def spy(m, primes):
         counts.append(primes.size)
         return real_characters(m, primes)
 
-    monkeypatch.setattr(asymptotics, "_characters", spy)
+    monkeypatch.setattr(arith, "characters", spy)
     # -a*q = -1: Euler's criterion runs at most once per class of p mod 4,
     # not once per prime of the million.
     asymptotics.bateman_horn_constant(_spec(1, 1), 10**6, "hl")
@@ -432,14 +432,14 @@ def test_euler_product_takes_each_class_once(monkeypatch):
 
 
 def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
-    real_class_characters = asymptotics._class_characters
+    real_class_characters = arith.class_characters
     spec = identity.check_admissible(1, 1)
 
     def flipped(m):
         characters = real_class_characters(m)
         return lambda primes: -characters(primes)
 
-    monkeypatch.setattr(asymptotics, "_class_characters", flipped)
+    monkeypatch.setattr(arith, "class_characters", flipped)
     with pytest.raises(ArithmeticError, match=r"^factor 0\.5 on wrong side of 1 at p=3$"):
         asymptotics.bateman_horn_constant(spec, 100, "hl")
     # A flip only past 1000 is caught in a later sieve block, at p = 1009.
@@ -452,7 +452,7 @@ def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
 
         return flip
 
-    monkeypatch.setattr(asymptotics, "_class_characters", flipped_late)
+    monkeypatch.setattr(arith, "class_characters", flipped_late)
     message = f"factor {1.0 + 1 / 1008} on wrong side of 1 at p=1009"
     with pytest.raises(ArithmeticError) as caught:
         asymptotics.bateman_horn_constant(spec, 10**4, "hl")

@@ -367,6 +367,18 @@ def test_oversized_count_refused_before_it_starts(capsys, monkeypatch):
     assert out == "" and err.startswith("error: n_max capped")
 
 
+def test_oversized_parity_sweep_refused_before_it_starts(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("parity_sum called")
+
+    monkeypatch.setattr(ramanujan, "parity_sum", never)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "parity", "--x", "100000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and err.startswith("error: parity sums capped")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["psi2", "--q", "4", "--a", "1", "--x", "4000000000000000000"], "error: x capped"),
     (["compare", "--q", "4", "--a", "1", "--x-max", "4000000000000000000", "--steps", "8"],

@@ -317,19 +317,71 @@ def test_quadratic_roots_solve_their_congruence(q, a):
     assert all(len(roots) <= 2 for roots in found.values())
 
 
-def test_square_roots_near_the_int64_reach():
-    # p*p just below 2**63, and primes with p - 1 divisible by 2**23 to 2**27.
-    primes = [arith.next_prime_above(3037000499 - 600 * k) for k in range(1, 6)]
-    primes += [998244353, 469762049, 2013265921]
+# p*p just below 2**63, and primes with p - 1 divisible by 2**23 to 2**27:
+# all past 2**27, where residues, the character and Tonelli-Shanks stay exact.
+INT64_REACH_PRIMES = [arith.next_prime_above(3037000499 - 600 * k) for k in range(1, 6)]
+INT64_REACH_PRIMES += [998244353, 469762049, 2013265921]
+
+
+def test_squareness_near_the_int64_reach():
+    primes = np.array(INT64_REACH_PRIMES, dtype=np.int64)
     rng = np.random.default_rng(18)
-    for p in primes:
-        assert p * p <= I64_MAX
-        c = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
-        square, t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64))
-        for ci, si, ti in zip(c.tolist(), square.tolist(), t.tolist()):
-            assert si == (pow(ci, (p - 1) // 2, p) == 1), (p, ci)
-            if si:
-                assert ti * ti % p == ci, (p, ci)
+    for c in [*range(1, 41), *rng.integers(1, 2**32, 200).tolist(), -1]:
+        for m in (c, c - 2**100):
+            assert arith.residues(m, primes).tolist() == [m % p for p in INT64_REACH_PRIMES]
+            chi = arith.characters(m, primes).tolist()
+            assert chi == [arith.jacobi(m, p) for p in INT64_REACH_PRIMES], m
+            euler = [pow(m, (p - 1) // 2, p) for p in INT64_REACH_PRIMES]
+            assert chi == [-1 if e == p - 1 else e for e, p in zip(euler, INT64_REACH_PRIMES)], m
+
+
+def test_square_roots_near_the_int64_reach():
+    rng = np.random.default_rng(18)
+    for p in INT64_REACH_PRIMES:
+        assert 2**27 < p <= arith.INT64_PRIME_MAX
+        r = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
+        c = r * r % p
+        t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64))
+        for ci, ti in zip(c.tolist(), t.tolist()):
+            assert ti * ti % p == ci, (p, ci)
+        # A non-residue is refused, not looped on.
+        z = sieve._non_residues(np.array([p]))
+        with pytest.raises(ArithmeticError, match="needs a square"):
+            sieve._square_roots(z, np.array([p]))
+
+
+def test_non_residues_are_the_least_prime_non_residues():
+    primes = arith.primes_up_to(10**5)[1:] + INT64_REACH_PRIMES
+    z = sieve._non_residues(np.array(primes, dtype=np.int64)).tolist()
+    for p, zp in zip(primes, z):
+        assert arith.jacobi(zp, p) == -1, (p, zp)
+        assert all(arith.jacobi(y, p) == 1 for y in arith.primes_up_to(zp - 1)), (p, zp)
+
+
+def test_quadratic_roots_read_one_character_per_class(monkeypatch):
+    # For 4 t^2 + 1, chi(p) = (-4 | p): Euler's criterion runs at most once
+    # per class of p mod 16, and Tonelli-Shanks runs on the split primes,
+    # p = 1 (mod 4), only.
+    real_characters, real_square_roots = arith.characters, sieve._square_roots
+    asked: list[int] = []
+    rooted: list[int] = []
+
+    def characters(m, primes):
+        if m == -4:
+            asked.extend(primes.tolist())
+        return real_characters(m, primes)
+
+    def square_roots(c, p):
+        rooted.extend(p.tolist())
+        return real_square_roots(c, p)
+
+    monkeypatch.setattr(arith, "characters", characters)
+    monkeypatch.setattr(sieve, "_square_roots", square_roots)
+    bound = 3 * arith.SEGMENT_SIZE
+    found = _roots(4, 1, bound)
+    assert len({p % 16 for p in asked}) == len(asked) <= 8
+    split = [p for p in arith.primes_up_to(bound) if p % 4 == 1]
+    assert sorted(rooted) == split and sorted(found) == split
 
 
 def test_corrupted_root_raises_at_its_first_hit(monkeypatch):

@@ -105,6 +105,19 @@ def test_ramanujan_suite_one_residue_per_modulus_is_fast():
     assert (report.cases_run, report.all_passed) == (2000, True)
 
 
+def test_parity_suite_refuses_oversized_sweeps_up_front(monkeypatch):
+    def never(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(ramanujan, "parity_sum", never)
+    # (x + 1) * floor(sqrt(x)) terms: 499,935,748 at x = 630,435, within the
+    # cap, and 500,566,978 at 630,436, past it.
+    with pytest.raises(AssertionError, match="sweep started"):
+        verification.verify_parity(630_435)
+    with pytest.raises(CapacityError, match="needs 500566978"):
+        verification.verify_parity(630_436)
+
+
 def test_parity_suite_counterexample_inventory():
     for x, expected_failures in PARITY_FAIL_COUNTS.items():
         report = verification.verify_parity(x)
