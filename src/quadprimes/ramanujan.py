@@ -10,7 +10,9 @@ routes are exposed so each can cross-check the others:
 The closed form and the divisor sum memoise their values, bounded, on
 exactly the integers their formulas read, (q, gcd(|m|, q)).  The direct sum
 reads m only through the residue m % q: each call sums every residue it
-meets once, in numpy blocks, and keeps nothing.
+meets once and keeps nothing.  Few residues gather their roots of unity in
+numpy blocks; more take one discrete Fourier transform of the coprime
+indicator, every residue of q at once.
 
 shift_sums gives, for every n in 1..x at N = 2p, the exact sum of w * c_N(t - n)
 over weighted points (w, t) and its diagonal weight d, the total w at t = n, from
@@ -22,7 +24,9 @@ For a modulus N = 2p with p prime and p > x, c_N(m) with 0 < |m| < p only
 depends on the parity of m.  parity_value checks the sign prediction (-1)**s
 for m = s - n or s*s - n; parity_sum accumulates those values over s and
 checks the claimed 0 / -1 total.  Mismatches raise LemmaCounterexample with
-the measured value attached.
+the measured value attached.  They are the per-term API and the oracle of
+verification.verify_parity, which reads the same verdicts from c_N(1) and
+c_N(2) once per sweep.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ DIRECT_Q_CAP = 10**6
 # Entries per closed-form or divisor-sum memo: a sweep over m for one q needs
 # one entry per divisor of q.
 _MEMO_SIZE = 1 << 12
-# Terms per block of the direct sum, so no block grows with q.
+# Terms per block of the gathered direct sum, so no block grows with q.
 _DIRECT_BLOCK = 1 << 16
 
 ParityMode = Literal["linear", "quadratic"]
@@ -101,11 +105,38 @@ def _direct_totals(q: int, residues: np.ndarray) -> np.ndarray:
     """The sum of e(a*r/q) over the residues a coprime to q, for each r in
     residues, as complex floats.
 
-    The literal defining sum, gathered from a table of the q-th roots of
-    unity in blocks of at most _DIRECT_BLOCK terms: rows of residues by
-    columns of coprime a.  For q = 1 the one coprime residue is 0, so the
-    sum is 1 and all three routes agree at q = 1.
+    The literal defining sum, by one of two routes chosen from the input
+    alone.  With more residues than q.bit_length(), one discrete Fourier
+    transform gives every residue of q in O(q log q) (_dft_totals); with
+    fewer, gathering q-th roots of unity costs less (_gathered_totals).  At
+    q = 999983 one residue took 0.17 s by gather and 0.44 s by transform,
+    and the transform won from about 8 to 32 residues at q = 999983, 720720
+    and 65537 (2-core VM).  For q = 1 the one coprime residue is 0, so the sum is 1 and
+    all three routes agree at q = 1.
     """
+    if residues.size > q.bit_length():
+        return _dft_totals(q, residues)
+    return _gathered_totals(q, residues)
+
+
+def _dft_totals(q: int, residues: np.ndarray) -> np.ndarray:
+    """The direct sums at residues from the transform of the coprime indicator.
+
+    fft(f)[j] is the sum of f(a) * e(-a*j/q) over 0 <= a < q, so for f the
+    indicator of gcd(a, q) == 1 its entry at j = -r mod q is the sum at r.
+    numpy's pocketfft takes O(q log q) at any q, through Bluestein's chirp
+    transform when q is prime.  Its worst residual over every residue of
+    every q <= 2000, and at five residues of seven q from 65537 to the cap,
+    was 1.2e-10, at q = 999983.
+    """
+    coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    return np.fft.fft(coprime.astype(np.float64))[(-residues) % q]
+
+
+def _gathered_totals(q: int, residues: np.ndarray) -> np.ndarray:
+    """The direct sums at residues, gathered from a table of the q-th roots
+    of unity in blocks of at most _DIRECT_BLOCK terms: rows of residues by
+    columns of coprime a."""
     k = np.arange(q, dtype=np.int64)
     roots = np.exp(2j * np.pi * k / q)
     coprime = k[np.gcd(k, q) == 1]
@@ -124,8 +155,9 @@ def direct_values(q: int, ms: Sequence[int]) -> np.ndarray:
     """c_q(m) for each m in ms by literal complex summation, as int64.
 
     The sum reads m only through r = m % q, since a*m % q == a*r % q, so
-    each distinct residue is summed once.  Not keyed by gcd(|m|, q): that
-    key would assume the theorem the direct route is there to check.
+    each distinct residue is summed once, by _direct_totals.  Not keyed by
+    gcd(|m|, q): that key would assume the theorem the direct route is
+    there to check.
 
     Args:
         q: modulus, 1 <= q <= 10**6 (float-path cap).

@@ -6,6 +6,7 @@ exhaustive inventory, which the CLI then turns into an exit code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -17,13 +18,27 @@ from .errors import CapacityError, LemmaCounterexample
 # Shared identity-check grid: every admissible pair crossed with every x.
 IDENTITY_PAIRS = ((4, 1), (2, 1), (3, 2), (5, 2), (8, 3))
 IDENTITY_X_VALUES = (16, 36, 100, 144)
-# Direct-sum terms verify_ramanujan may run, about q_max^2/2 * (2 m_max + 1).
+# Bound on verify_ramanujan's sweep, q_max (q_max + 1) / 2 * (2 m_max + 1):
+# the size of the literal sums' (q, a, m) grid.  Most moduli sum all their
+# residues in one transform, so it bounds the sweep, not the work done on it.
 DIRECT_WORK_CAP = 10**9
-# c_N terms verify_parity may run, (x + 1) * floor(sqrt(x)) over both modes.
-# At x = 6,400 and 25,600 a term took 0.9 to 1.0 us on a 2-core VM, and up
-# to 1.25 us under load, so the cap, reached near x = 630,000, is eight to
-# ten minutes.
-PARITY_WORK_CAP = 5 * 10**8
+# Counterexample rows verify_parity may build: floor(sqrt(x)) when the class
+# values hold (the odd n <= floor(sqrt(x)) and the odd squares), every odd n
+# of both modes when they do not.  verify parity --output json took about
+# 30 us and 1.1 KB of peak RSS per row on a 2-core VM: 21.5 s, 1.1 GB and
+# 202 MB of JSON at the bound, reached at x = 1,000,002,000,000.
+PARITY_ROWS_MAX = 10**6
+# Largest x of verify_char, one exponential-sum value and one integer root
+# per odd n: 2.5 to 3.9 us per n at x = 1e5 to 4e6 on a 2-core VM.  Ten
+# minutes would be x near 5e8; the cap is about one minute, so that verify
+# char --x 100000000, minutes of work, is refused.
+CHAR_X_MAX = 5 * 10**7
+# Largest x of the identity, main-term and error-term grids: the exact paths
+# sieve q n + a up to x with one Python step per weighted n, 0.11 to 0.15 us
+# per x at x = 1e6 to 4e7 on a 2-core VM.  Ten minutes would be x near 5e9;
+# the cap is about one minute, so that verify identity --x 1000000000, about
+# two minutes of work, is refused.
+IDENTITY_X_MAX = 5 * 10**8
 
 
 @dataclass(frozen=True)
@@ -107,25 +122,80 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     return VerificationReport("ramanujan", cases, cases - len(rows), tuple(rows))
 
 
+def _class_outcome(
+    R: int, c1: int, c2: int, z: Optional[int]
+) -> Optional[tuple[Optional[int], int, int]]:
+    """ramanujan.parity_sum's verdict at an odd n from the class values, as
+    None or (s, expected, actual), s None for the sum-value check.
+
+    For odd n and 0 < |shift| < p the term at odd s is c_N(2) against -1
+    and the term at even s is c_N(1) against +1, in both modes, since s and
+    s*s share a parity.  So the verdict reads n only through its zero shift
+    z, the s skipped (None if no s is): the first failing sign is the least
+    s != z of a failing class, and the total counts each class without z.
+    """
+    # Per class: its least s != z, the value of its terms, their predicted sign.
+    classes = ((3 if z == 1 else 1, c2, -1), (4 if z == 2 else 2, c1, 1))
+    failing = [(s, value, predicted) for s, value, predicted in classes
+               if value != predicted and s <= R]
+    if failing:
+        s, value, predicted = min(failing)
+        return s, predicted, value
+    z_odd, z_even = z is not None and z % 2 == 1, z is not None and z % 2 == 0
+    total = c2 * ((R + 1) // 2 - z_odd) + c1 * (R // 2 - z_even)
+    claimed = 0 if R % 2 == 0 else -1
+    return None if total == claimed else (None, claimed, total)
+
+
 def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
     """Parity sign and sum-value checks for both shift modes at every odd n.
 
-    A sweep of more than PARITY_WORK_CAP terms is refused with CapacityError
-    before any check runs.
+    The report equals one ramanujan.parity_sum per (n, mode), without its
+    per-term work: a verdict reads n only through its zero shift (see
+    _class_outcome), n in linear mode when n <= floor(sqrt(x)) and isqrt(n)
+    in quadratic mode when n is a square.  The outcome without a zero shift
+    is worked out once from c_N(1) and c_N(2).  When it passes, only the n
+    with a zero shift are visited; when it fails, every odd n is a row.  A
+    sweep of more than PARITY_ROWS_MAX possible rows is refused with
+    CapacityError before any row is built.
     """
     ctx = identity.make_context(x, regime, c)
-    if (work := (x + 1) * ctx.floor_sqrt_x) > PARITY_WORK_CAP:
-        raise CapacityError(f"parity sums capped at {PARITY_WORK_CAP} terms; this one needs {work}")
-    return _tally("parity", (
-        _caught(ramanujan.parity_sum, ctx, n, mode)
-        for mode in ("linear", "quadratic")
-        for n in range(1, x + 1, 2)
-    ))
+    R = ctx.floor_sqrt_x
+    c1, c2 = (ramanujan.ramanujan_closed(ctx.N, m) for m in (1, 2))
+    odd_s, odd_n = range(1, R + 1, 2), range(1, x + 1, 2)
+    if _class_outcome(R, c1, c2, None) is None:
+        # Only an n with a zero shift can fail: n = s, or n = s*s, for odd s.
+        rows = 2 * len(odd_s)
+        cases = {"linear": ((s, s) for s in odd_s), "quadratic": ((s * s, s) for s in odd_s)}
+    else:
+        rows = 2 * len(odd_n)
+        cases = {"linear": ((n, n if n <= R else None) for n in odd_n),
+                 "quadratic": ((n, k if (k := math.isqrt(n)) * k == n else None) for n in odd_n)}
+    if rows > PARITY_ROWS_MAX:
+        raise CapacityError(f"parity rows capped at {PARITY_ROWS_MAX}; this sweep needs {rows}")
+    counterexamples = []
+    for mode, mode_cases in cases.items():
+        for n, z in mode_cases:
+            if (outcome := _class_outcome(R, c1, c2, z)) is not None:
+                s, expected, actual = outcome
+                inputs = {"x": x, "p": ctx.p, "n": n, "mode": mode} if s is None else \
+                    {"x": x, "p": ctx.p, "s": s, "n": n, "mode": mode}
+                counterexamples.append(Counterexample(inputs, expected, actual))
+    cases_run = 2 * len(odd_n)
+    return VerificationReport("parity", cases_run, cases_run - len(counterexamples),
+                              tuple(counterexamples))
 
 
 def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
-    """Exponential-sum square indicator against the integer-root oracle."""
+    """Exponential-sum square indicator against the integer-root oracle.
+
+    x past CHAR_X_MAX is refused with CapacityError before any n is checked,
+    after the context and its even floor(sqrt(x)) are.
+    """
     ctx = identity.make_context(x, regime, c)
+    ctx.require_even_floor_sqrt()
+    if x > CHAR_X_MAX:
+        raise CapacityError(f"char sweep capped at x = {CHAR_X_MAX}")
 
     def outcomes() -> Iterator[Optional[Counterexample]]:
         for n in range(1, x + 1, 2):
@@ -145,24 +215,27 @@ def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> Verification
 
 
 def verify_liouville(limit: int = 10**5) -> VerificationReport:
-    """Exponent-parity square indicator against the integer-root oracle.
+    """Exponent-parity square indicator against the squares themselves.
 
     The parities come from one sieve over 1..limit, a segment at a time;
     indicator.square_char_liouville reads the same parities from each n's
-    own factorization.
+    own factorization.  Each segment's reference marks the squares k*k in
+    it, k from math.isqrt at its two ends, so it is exact at any limit and
+    shares nothing with the sieve; indicator.square_char_isqrt per n is its
+    oracle.  Rows are built only where the two disagree.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-
-    def outcomes() -> Iterator[Optional[Counterexample]]:
-        for start, flags in sieve.square_flags(limit):
-            for n, verdict in enumerate(flags.tolist(), start):
-                reference = indicator.square_char_isqrt(n)
-                yield None if verdict == reference else Counterexample(
-                    inputs={"n": n}, expected=reference, actual=verdict,
-                )
-
-    return _tally("liouville", outcomes())
+    rows: list[Counterexample] = []
+    for start, flags in sieve.square_flags(limit):
+        roots = np.arange(math.isqrt(start - 1) + 1, math.isqrt(start + flags.size - 1) + 1,
+                          dtype=np.int64)
+        squares = np.zeros(flags.size, dtype=bool)
+        squares[roots * roots - start] = True
+        rows += (Counterexample(inputs={"n": start + i}, expected=bool(squares[i]),
+                                actual=bool(flags[i]))
+                 for i in np.flatnonzero(flags != squares).tolist())
+    return VerificationReport("liouville", limit, limit - len(rows), tuple(rows))
 
 
 def _identity_grid(
@@ -172,8 +245,11 @@ def _identity_grid(
 ) -> list[tuple[identity.PolynomialSpec, ramanujan.ModulusContext]]:
     if configs is None:
         configs = [(q, a, x) for q, a in IDENTITY_PAIRS for x in IDENTITY_X_VALUES]
-    return [(identity.check_admissible(q, a), identity.make_context(x, regime, c))
+    grid = [(identity.check_admissible(q, a), identity.make_context(x, regime, c))
             for q, a, x in configs]
+    if (x_max := max((ctx.x for _, ctx in grid), default=0)) > IDENTITY_X_MAX:
+        raise CapacityError(f"identity grids capped at x = {IDENTITY_X_MAX}; this one has {x_max}")
+    return grid
 
 
 def _grid_check(failed: bool, spec: identity.PolynomialSpec, ctx: ramanujan.ModulusContext,

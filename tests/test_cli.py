@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from quadprimes import arith, asymptotics, cli, ramanujan, sieve
+from quadprimes import (arith, asymptotics, cli, identity, indicator, ramanujan, sieve,
+                        verification)
 
 
 def _run(capsys, argv):
@@ -367,16 +368,54 @@ def test_oversized_count_refused_before_it_starts(capsys, monkeypatch):
     assert out == "" and err.startswith("error: n_max capped")
 
 
-def test_oversized_parity_sweep_refused_before_it_starts(capsys, monkeypatch):
-    def never(*args):
-        raise AssertionError("parity_sum called")
+def test_parity_sweep_answers_at_1e8(capsys):
+    # floor(sqrt(1e8)) = 10^4: 5,000 odd n <= 10^4 fail in linear mode and
+    # the 5,000 odd squares in quadratic mode, each by exactly +1.
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "parity", "--x", "100000000", "--output", "json"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err == ""
+    rows = json.loads(out)["result"]["counterexamples"]
+    assert len(rows) == 10_000
+    assert {row["got"] - row["expected"] for row in rows} == {1}
 
+
+def test_oversized_parity_sweep_refused_before_it_starts(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("row built")
+
+    monkeypatch.setattr(verification, "Counterexample", never)
     monkeypatch.setattr(ramanujan, "parity_sum", never)
     start = time.perf_counter()
-    code, out, err = _run(capsys, ["verify", "parity", "--x", "100000000"])
+    # 1,000,002 possible rows: floor(sqrt(x)) = 1,000,001.
+    code, out, err = _run(capsys, ["verify", "parity", "--x", "1000002000001"])
     assert time.perf_counter() - start < 1
     assert code == 2
-    assert out == "" and err.startswith("error: parity sums capped")
+    assert out == "" and err.startswith("error: parity rows capped")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "char", "--x", "100000000"], "error: char sweep capped"),
+    (["verify", "identity", "--q", "4", "--a", "1", "--x", "1000000000"],
+     "error: identity grids capped"),
+    (["verify", "main-term", "--q", "4", "--a", "1", "--x", "1000000000"],
+     "error: identity grids capped"),
+])
+def test_oversized_char_and_identity_sweeps_refused_before_they_start(
+    capsys, monkeypatch, argv, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("per-n check ran")
+
+    for name in ("square_char_exp", "square_char_isqrt"):
+        monkeypatch.setattr(indicator, name, never)
+    for name in ("lhs_quadratic_psi", "rhs_linear_expansion", "main_term_decomposition"):
+        monkeypatch.setattr(identity, name, never)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and err.startswith(message)
 
 
 @pytest.mark.parametrize("argv, message", [

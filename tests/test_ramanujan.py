@@ -108,15 +108,37 @@ def _literal_direct_total(q: int, r: int) -> complex:
 
 @pytest.mark.parametrize("block", (1 << 16, 5))
 def test_direct_values_match_literal_loop(monkeypatch, block):
-    # Every residue of every q <= 100; a block of 5 terms splits both the
-    # residues and the coprime a into many blocks.
+    # Every residue of every q <= 100, by the transform and by the gather; a
+    # block of 5 terms splits both the residues and the coprime a of the
+    # gather into many blocks.
     monkeypatch.setattr(ramanujan, "_DIRECT_BLOCK", block)
     for q in range(1, 101):
         expected = [_literal_direct_total(q, r) for r in range(q)]
-        totals = ramanujan._direct_totals(q, np.arange(q))
-        assert np.abs(totals - expected).max() < 1e-9, q
+        for route in (ramanujan._dft_totals, ramanujan._gathered_totals):
+            totals = route(q, np.arange(q))
+            assert np.abs(totals - expected).max() < 1e-9, (route.__name__, q)
         values = ramanujan.direct_values(q, range(q))
         assert values.tolist() == [round(total.real) for total in expected], q
+
+
+def test_direct_totals_choose_their_route_from_the_input(monkeypatch):
+    # More residues than q.bit_length() take the transform, fewer the gather:
+    # one residue at q = 999983 gathers, 601 at q = 300 (9 bits) transform.
+    taken = []
+    for name in ("_dft_totals", "_gathered_totals"):
+        real = getattr(ramanujan, name)
+
+        def spy(q, residues, name=name, real=real):
+            taken.append((name, q, residues.size))
+            return real(q, residues)
+
+        monkeypatch.setattr(ramanujan, name, spy)
+    assert ramanujan.ramanujan_direct(999983, 5) == -1
+    ramanujan._direct_totals(300, np.arange(-300, 301) % 300)
+    ramanujan._direct_totals(300, np.arange(9))
+    ramanujan._direct_totals(300, np.arange(10))
+    assert taken == [("_gathered_totals", 999983, 1), ("_dft_totals", 300, 601),
+                     ("_gathered_totals", 300, 9), ("_dft_totals", 300, 10)]
 
 
 def test_direct_values_read_any_integer_through_its_residue():

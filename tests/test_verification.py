@@ -6,10 +6,11 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quadprimes import indicator, ramanujan, verification
-from quadprimes.errors import CapacityError, PrecisionError
+from quadprimes import identity, indicator, ramanujan, sieve, verification
+from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
 
 # Failing parity cases per x, established by exhaustive independent runs:
 # linear mode fails at odd n <= floor(sqrt(x)), quadratic mode at odd squares.
@@ -105,17 +106,58 @@ def test_ramanujan_suite_one_residue_per_modulus_is_fast():
     assert (report.cases_run, report.all_passed) == (2000, True)
 
 
-def test_parity_suite_refuses_oversized_sweeps_up_front(monkeypatch):
-    def never(*args):
-        raise AssertionError("sweep started")
+def _break_closed_value(monkeypatch, d):
+    # c_N read one too high at gcd d, so c_N(1) = 2 or c_N(2) = 0 breaks the
+    # parity lemma.
+    real = ramanujan._closed_value
+    monkeypatch.setattr(ramanujan, "_closed_value", lambda q, g: real(q, g) + (g == d))
 
-    monkeypatch.setattr(ramanujan, "parity_sum", never)
-    # (x + 1) * floor(sqrt(x)) terms: 499,935,748 at x = 630,435, within the
-    # cap, and 500,566,978 at 630,436, past it.
-    with pytest.raises(AssertionError, match="sweep started"):
-        verification.verify_parity(630_435)
-    with pytest.raises(CapacityError, match="needs 500566978"):
-        verification.verify_parity(630_436)
+
+def test_parity_suite_refuses_oversized_sweeps_up_front(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("row built")
+
+    monkeypatch.setattr(verification, "Counterexample", never)
+    # With the class values right, the possible rows are the odd n <= R and
+    # the odd squares, R = floor(sqrt(x)): 1,000,000 at x = 1,000,002,000,000
+    # (R = 10^6), within the bound, and 1,000,002 one x later.
+    with pytest.raises(AssertionError, match="row built"):
+        verification.verify_parity(1_000_002_000_000)
+    with pytest.raises(CapacityError, match="needs 1000002"):
+        verification.verify_parity(1_000_002_000_001)
+    # With c_N(2) broken every odd n of both modes is a row: x + 1 at odd x.
+    _break_closed_value(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="row built"):
+        verification.verify_parity(999_999)
+    with pytest.raises(CapacityError, match="needs 1000002"):
+        verification.verify_parity(1_000_001)
+
+
+def _per_term_parity_report(x: int, regime: str) -> verification.VerificationReport:
+    # One ramanujan.parity_sum per (n, mode), every term evaluated.
+    ctx = identity.make_context(x, regime)
+    rows = []
+    for mode in ("linear", "quadratic"):
+        for n in range(1, x + 1, 2):
+            try:
+                ramanujan.parity_sum(ctx, n, mode)
+            except LemmaCounterexample as exc:
+                rows.append(verification.Counterexample(dict(exc.inputs), exc.expected,
+                                                        exc.actual))
+    cases = 2 * ((x + 1) // 2)
+    return verification.VerificationReport("parity", cases, cases - len(rows), tuple(rows))
+
+
+@pytest.mark.parametrize("broken", (None, 1, 2))
+def test_parity_suite_matches_the_per_term_sums(monkeypatch, broken):
+    # Every x in 4..400 in both regimes, with the class values right and with
+    # c_N(1) or c_N(2) broken, which moves the first failing sign.
+    if broken is not None:
+        _break_closed_value(monkeypatch, broken)
+    for x in range(4, 401):
+        for regime in ("minimal", "inflated"):
+            assert verification.verify_parity(x, regime) == _per_term_parity_report(x, regime), \
+                (x, regime)
 
 
 def test_parity_suite_counterexample_inventory():
@@ -146,6 +188,31 @@ def test_liouville_suite_all_pass():
     report = verification.verify_liouville(3000)
     assert report.cases_run == 3000
     assert report.all_passed
+
+
+@pytest.mark.parametrize("limit", (99, 100, 101, 65535, 65536, 65537))
+def test_liouville_suite_rows_match_the_per_n_oracle(monkeypatch, limit):
+    # The sieve's flags read as "n is a multiple of 1000" on its own
+    # segments: wrong at every square that is not one and at every multiple
+    # that is not a square.
+    # The limits end at k^2 - 1, k^2 and k^2 + 1; 65536 = 256^2 is the last n
+    # of the first segment.
+    real_flags = sieve.square_flags
+
+    def skewed(limit):
+        for start, flags in real_flags(limit):
+            yield start, np.arange(start, start + flags.size) % 1000 == 0
+
+    monkeypatch.setattr(sieve, "square_flags", skewed)
+    report = verification.verify_liouville(limit)
+    rows = tuple(
+        verification.Counterexample(inputs={"n": n}, expected=square, actual=n % 1000 == 0)
+        for n in range(1, limit + 1)
+        if (square := indicator.square_char_isqrt(n)) != (n % 1000 == 0)
+    )
+    assert report == verification.VerificationReport("liouville", limit, limit - len(rows), rows)
+    for ce in report.counterexamples:
+        assert (type(ce.inputs["n"]), type(ce.expected), type(ce.actual)) == (int, bool, bool)
 
 
 def test_identity_suite_exact_path_fails_float_path_passes():
