@@ -11,14 +11,14 @@ u-sum of e^(2*pi*i*(s*s - n)*u/N) with u coprime to N.  Each inner u-sum is
 phi(N) when s*s = n and the Ramanujan sum c_N(s*s - n) otherwise, so the whole
 expression is an exact rational.  The claim under check is that it equals the
 0/1 square indicator; any other value raises LemmaCounterexample carrying the
-measured rational.
+measured rational.  Each call reads the squares afresh, O(floor(sqrt(x))), and
+nothing is kept per context: at odd n the value depends only on whether n is a
+square, so a sweep over every odd n (verification.verify_char) needs two calls.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
 
 from . import arith, ramanujan
 from .errors import LemmaCounterexample
@@ -28,21 +28,14 @@ def square_char_exp_value(ctx: ramanujan.ModulusContext, n: int) -> Fraction:
     """Exact rational value of the exponential-sum expression at odd n <= x.
 
     This is the measurement behind square_char_exp, exposed separately so
-    out-of-range values can be inspected rather than only raised.
+    out-of-range values can be inspected rather than only raised.  Each call
+    reads the floor(sqrt(x)) squares s*s through ramanujan.shift_sums.
     """
     ctx.require_even_floor_sqrt()
     ctx.require_odd_n(n)
-    shift_sum, phi = _square_kernel(ctx)
-    full, _ = shift_sum(n)
-    return Fraction(full, phi)
-
-
-@lru_cache(maxsize=1)
-def _square_kernel(ctx: ramanujan.ModulusContext) -> tuple[Callable[[int], tuple[int, int]], int]:
-    """The shift-sum kernel over the squares s*s <= x, and phi(N): built once
-    per context, so a sweep over every odd n <= x stays linear in x."""
-    squares = [(1, s * s) for s in range(1, ctx.floor_sqrt_x + 1)]
-    return ramanujan.shift_sums(ctx, squares), arith.euler_phi(ctx.N)
+    squares = ((1, s * s) for s in range(1, ctx.floor_sqrt_x + 1))
+    full, _ = ramanujan.shift_sums(ctx, squares)(n)
+    return Fraction(full, arith.euler_phi(ctx.N))
 
 
 def square_char_exp(ctx: ramanujan.ModulusContext, n: int) -> bool:

@@ -19,6 +19,9 @@ over weighted points (w, t) and its diagonal weight d, the total w at t = n, fro
 three closed-form values: for 1 <= t, n <= x < p, gcd(t - n, 2p) depends only on
 whether t - n is 0, even or odd.  The square indicator reads the full sum; the
 exact identity paths read full - phi(N) * d, the sum with its diagonal dropped.
+So at an odd n the square indicator reads n only through whether n is a
+square: indicator.square_char_exp is the per-n API and the oracle of
+verification.verify_char, which evaluates it once per class of odd n.
 
 For a modulus N = 2p with p prime and p > x, c_N(m) with 0 < |m| < p only
 depends on the parity of m.  parity_value checks the sign prediction (-1)**s

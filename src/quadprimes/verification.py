@@ -22,17 +22,13 @@ IDENTITY_X_VALUES = (16, 36, 100, 144)
 # the size of the literal sums' (q, a, m) grid.  Most moduli sum all their
 # residues in one transform, so it bounds the sweep, not the work done on it.
 DIRECT_WORK_CAP = 10**9
-# Counterexample rows verify_parity may build: floor(sqrt(x)) when the class
-# values hold (the odd n <= floor(sqrt(x)) and the odd squares), every odd n
-# of both modes when they do not.  verify parity --output json took about
-# 30 us and 1.1 KB of peak RSS per row on a 2-core VM: 21.5 s, 1.1 GB and
-# 202 MB of JSON at the bound, reached at x = 1,000,002,000,000.
-PARITY_ROWS_MAX = 10**6
-# Largest x of verify_char, one exponential-sum value and one integer root
-# per odd n: 2.5 to 3.9 us per n at x = 1e5 to 4e6 on a 2-core VM.  Ten
-# minutes would be x near 5e8; the cap is about one minute, so that verify
-# char --x 100000000, minutes of work, is refused.
-CHAR_X_MAX = 5 * 10**7
+# Counterexample rows verify_parity and verify_char may build, counted on the
+# odd n a sweep may visit before any row is.  With --output json both took
+# about 20-30 us and 1.1-1.3 KB of peak RSS per row on a 2-core VM: parity
+# 21.5 s, 1.1 GB and 202 MB of JSON at the bound, reached at x =
+# 1,000,002,000,000; char 4.2 s and 290 MB at 200,000 rows, so about 21 s and
+# 1.3 GB at its bound, x = 4,000,004,000,000.
+ROWS_MAX = 10**6
 # Largest x of the identity, main-term and error-term grids: the exact paths
 # sieve q n + a up to x with one Python step per weighted n, 0.11 to 0.15 us
 # per x at x = 1e6 to 4e7 on a 2-core VM.  Ten minutes would be x near 5e9;
@@ -73,17 +69,19 @@ def _tally(suite: str, outcomes: Iterable[Optional[Counterexample]]) -> Verifica
     return VerificationReport(suite, run, run - len(rows), tuple(rows))
 
 
-def _row(exc: LemmaCounterexample) -> Counterexample:
-    return Counterexample(inputs=dict(exc.inputs), expected=exc.expected, actual=exc.actual)
-
-
 def _caught(check: Callable[..., object], *args: Any) -> Optional[Counterexample]:
     """Run a strict check: None when it passes, its counterexample as a row when not."""
     try:
         check(*args)
     except LemmaCounterexample as exc:
-        return _row(exc)
+        return Counterexample(inputs=dict(exc.inputs), expected=exc.expected, actual=exc.actual)
     return None
+
+
+def _require_rows(suite: str, rows: int) -> None:
+    """Refuse a sweep that may visit more than ROWS_MAX odd n."""
+    if rows > ROWS_MAX:
+        raise CapacityError(f"{suite} rows capped at {ROWS_MAX}; this sweep needs {rows}")
 
 
 def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
@@ -156,8 +154,8 @@ def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> Verificati
     in quadratic mode when n is a square.  The outcome without a zero shift
     is worked out once from c_N(1) and c_N(2).  When it passes, only the n
     with a zero shift are visited; when it fails, every odd n is a row.  A
-    sweep of more than PARITY_ROWS_MAX possible rows is refused with
-    CapacityError before any row is built.
+    sweep of more than ROWS_MAX possible rows (_require_rows) is refused
+    with CapacityError before any row is built.
     """
     ctx = identity.make_context(x, regime, c)
     R = ctx.floor_sqrt_x
@@ -171,8 +169,7 @@ def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> Verificati
         rows = 2 * len(odd_n)
         cases = {"linear": ((n, n if n <= R else None) for n in odd_n),
                  "quadratic": ((n, k if (k := math.isqrt(n)) * k == n else None) for n in odd_n)}
-    if rows > PARITY_ROWS_MAX:
-        raise CapacityError(f"parity rows capped at {PARITY_ROWS_MAX}; this sweep needs {rows}")
+    _require_rows("parity", rows)
     counterexamples = []
     for mode, mode_cases in cases.items():
         for n, z in mode_cases:
@@ -186,32 +183,46 @@ def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> Verificati
                               tuple(counterexamples))
 
 
-def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
-    """Exponential-sum square indicator against the integer-root oracle.
+def _char_outcome(ctx: ramanujan.ModulusContext, n: int) -> Optional[tuple[Any, Any]]:
+    """indicator.square_char_exp at odd n against the integer-root oracle:
+    None when they agree, else the (expected, actual) of n's row."""
+    try:
+        actual = indicator.square_char_exp(ctx, n)
+    except LemmaCounterexample as exc:
+        return exc.expected, exc.actual
+    expected = indicator.square_char_isqrt(n)
+    return None if actual == expected else (expected, actual)
 
-    x past CHAR_X_MAX is refused with CapacityError before any n is checked,
-    after the context and its even floor(sqrt(x)) are.
+
+def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> VerificationReport:
+    """Exponential-sum square indicator against the integer-root oracle at
+    every odd n <= x.
+
+    The report equals one indicator.square_char_exp per odd n, checked
+    against indicator.square_char_isqrt, without the per-n work: through
+    ramanujan.shift_sums the value reads an odd n only through whether n is
+    a square, so n = 1 stands for the odd squares and n = 3 for the rest.
+    When the non-squares pass, only the odd squares s*s are visited; when
+    they fail, every odd n is, and each row is its class's row at n.  A
+    sweep that may visit more than ROWS_MAX odd n is refused with
+    CapacityError: the floor(sqrt(x)) / 2 odd squares before either class
+    is evaluated, every odd n only once the non-squares fail.
     """
     ctx = identity.make_context(x, regime, c)
     ctx.require_even_floor_sqrt()
-    if x > CHAR_X_MAX:
-        raise CapacityError(f"char sweep capped at x = {CHAR_X_MAX}")
-
-    def outcomes() -> Iterator[Optional[Counterexample]]:
-        for n in range(1, x + 1, 2):
-            reference = indicator.square_char_isqrt(n)
-            try:
-                verdict = indicator.square_char_exp(ctx, n)
-            except LemmaCounterexample as exc:
-                yield _row(exc)
-                continue
-            yield None if verdict == reference else Counterexample(
-                inputs={"x": x, "p": ctx.p, "n": n},
-                expected=reference,
-                actual=verdict,
-            )
-
-    return _tally("char", outcomes())
+    odd_s = range(1, ctx.floor_sqrt_x + 1, 2)
+    _require_rows("char", len(odd_s))
+    square, other = (_char_outcome(ctx, n) for n in (1, 3))
+    if other is None:
+        cases = ((s * s, square) for s in odd_s)
+    else:
+        _require_rows("char", (x + 1) // 2)
+        cases = ((n, square if indicator.square_char_isqrt(n) else other)
+                 for n in range(1, x + 1, 2))
+    rows = tuple(Counterexample({"x": x, "p": ctx.p, "n": n}, *row)
+                 for n, row in cases if row is not None)
+    cases_run = (x + 1) // 2
+    return VerificationReport("char", cases_run, cases_run - len(rows), rows)
 
 
 def verify_liouville(limit: int = 10**5) -> VerificationReport:

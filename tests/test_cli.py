@@ -380,6 +380,18 @@ def test_parity_sweep_answers_at_1e8(capsys):
     assert {row["got"] - row["expected"] for row in rows} == {1}
 
 
+def test_char_sweep_answers_at_1e8(capsys):
+    # floor(sqrt(1e8)) = 10^4: the 5,000 odd squares each measure p/(p-1).
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["verify", "char", "--x", "100000000", "--output", "json"])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err == ""
+    rows = json.loads(out)["result"]["counterexamples"]
+    assert len(rows) == 5_000
+    p = rows[0]["inputs"]["p"]
+    assert {row["got"] for row in rows} == {f"{p}/{p - 1}"}
+
+
 def test_oversized_parity_sweep_refused_before_it_starts(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("row built")
@@ -395,7 +407,8 @@ def test_oversized_parity_sweep_refused_before_it_starts(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "char", "--x", "100000000"], "error: char sweep capped"),
+    # 1,000,001 odd squares: floor(sqrt(x)) = 2,000,002.
+    (["verify", "char", "--x", "4000008000004"], "error: char rows capped"),
     (["verify", "identity", "--q", "4", "--a", "1", "--x", "1000000000"],
      "error: identity grids capped"),
     (["verify", "main-term", "--q", "4", "--a", "1", "--x", "1000000000"],
@@ -409,6 +422,7 @@ def test_oversized_char_and_identity_sweeps_refused_before_they_start(
 
     for name in ("square_char_exp", "square_char_isqrt"):
         monkeypatch.setattr(indicator, name, never)
+    monkeypatch.setattr(ramanujan, "shift_sums", never)
     for name in ("lhs_quadratic_psi", "rhs_linear_expansion", "main_term_decomposition"):
         monkeypatch.setattr(identity, name, never)
     start = time.perf_counter()

@@ -107,10 +107,12 @@ def test_ramanujan_suite_one_residue_per_modulus_is_fast():
 
 
 def _break_closed_value(monkeypatch, d):
-    # c_N read one too high at gcd d, so c_N(1) = 2 or c_N(2) = 0 breaks the
-    # parity lemma.
+    # c_q read one too high at gcd d, or at gcd q itself for d = "N", so
+    # c_N(1) = 2 or c_N(2) = 0 breaks the parity lemma and c_N(0) = p moves
+    # the square indicator at the squares.
     real = ramanujan._closed_value
-    monkeypatch.setattr(ramanujan, "_closed_value", lambda q, g: real(q, g) + (g == d))
+    monkeypatch.setattr(ramanujan, "_closed_value",
+                        lambda q, g: real(q, g) + (g == (q if d == "N" else d)))
 
 
 def test_parity_suite_refuses_oversized_sweeps_up_front(monkeypatch):
@@ -171,6 +173,62 @@ def test_parity_suite_counterexample_inventory():
         for ce in report.counterexamples:
             # Every failure measures exactly claimed + 1.
             assert ce.actual == ce.expected + 1
+
+
+def _per_n_char_report(x: int, regime: str) -> verification.VerificationReport:
+    # One indicator.square_char_exp per odd n against the integer-root oracle.
+    ctx = identity.make_context(x, regime)
+    rows = []
+    for n in range(1, x + 1, 2):
+        reference = indicator.square_char_isqrt(n)
+        try:
+            verdict = indicator.square_char_exp(ctx, n)
+        except LemmaCounterexample as exc:
+            rows.append(verification.Counterexample(dict(exc.inputs), exc.expected, exc.actual))
+            continue
+        if verdict != reference:
+            rows.append(verification.Counterexample({"x": x, "p": ctx.p, "n": n}, reference,
+                                                    verdict))
+    cases = (x + 1) // 2
+    return verification.VerificationReport("char", cases, cases - len(rows), tuple(rows))
+
+
+@pytest.mark.parametrize("broken", (None, 1, 2, "N"))
+def test_char_suite_matches_the_per_n_route(monkeypatch, broken):
+    # Every x in 4..400 with an even floor(sqrt(x)), in both regimes.  With
+    # c_N(1) or c_N(2) broken the non-squares fail and every odd n is
+    # visited; with c_N(0) broken only the squares' value moves.
+    if broken is not None:
+        _break_closed_value(monkeypatch, broken)
+    for x in range(4, 401):
+        if math.isqrt(x) % 2:
+            continue
+        for regime in ("minimal", "inflated"):
+            assert verification.verify_char(x, regime) == _per_n_char_report(x, regime), \
+                (x, regime)
+
+
+def test_char_suite_refuses_oversized_sweeps_up_front(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("sweep started")
+
+    # With the classes right, the odd squares are the possible rows:
+    # floor(sqrt(x)) / 2 = 10^6 at x = 4,000,004,000,000, within the bound,
+    # and 1,000,001 at 4,000,008,000,004 = 2,000,002^2, refused before the
+    # squares are read.
+    monkeypatch.setattr(indicator, "square_char_exp", started)
+    with pytest.raises(AssertionError, match="sweep started"):
+        verification.verify_char(4_000_004_000_000)
+    with pytest.raises(CapacityError, match="char rows capped at 1000000; this sweep needs 1000001"):
+        verification.verify_char(4_000_008_000_004)
+    monkeypatch.undo()
+    # With c_N(2) broken the non-squares fail and every odd n is a row.
+    _break_closed_value(monkeypatch, 2)
+    monkeypatch.setattr(verification, "Counterexample", started)
+    with pytest.raises(AssertionError, match="sweep started"):
+        verification.verify_char(1_999_999)
+    with pytest.raises(CapacityError, match="needs 1000002"):
+        verification.verify_char(2_000_003)
 
 
 def test_char_suite_fails_exactly_at_odd_squares():
@@ -254,10 +312,10 @@ def test_error_term_suite_single_config():
     assert report.all_passed
 
 
-def test_char_suite_builds_one_kernel_at_4e4(monkeypatch):
+def test_char_suite_reads_two_values_at_4e4(monkeypatch):
     # Every odd square n <= x measures p/(p-1), the derivation of acceptance
-    # criterion 3; every other odd n passes.  The squares' shift-sum kernel
-    # is built once for the whole sweep, not once per n.
+    # criterion 3; every other odd n passes.  The exponential sum is
+    # evaluated once per class of odd n, not once per n.
     x = 4 * 10**4
     p = next(k for k in itertools.count(x + 1)
              if all(k % d for d in range(2, math.isqrt(k) + 1)))
@@ -266,16 +324,14 @@ def test_char_suite_builds_one_kernel_at_4e4(monkeypatch):
                                     expected="0 or 1", actual=Fraction(p, p - 1))
         for s in range(1, math.isqrt(x) + 1, 2)
     )
-    built = []
-    real_shift_sums = ramanujan.shift_sums
+    evaluated = []
+    real_value = indicator.square_char_exp_value
 
-    def counting_shift_sums(ctx, points):
-        built.append(ctx)
-        return real_shift_sums(ctx, points)
+    def counting_value(ctx, n):
+        evaluated.append(n)
+        return real_value(ctx, n)
 
-    monkeypatch.setattr(ramanujan, "shift_sums", counting_shift_sums)
-    indicator._square_kernel.cache_clear()
+    monkeypatch.setattr(indicator, "square_char_exp_value", counting_value)
     report = verification.verify_char(x)
-    indicator._square_kernel.cache_clear()
     assert report == verification.VerificationReport("char", x // 2, x // 2 - 100, expected)
-    assert len(built) == 1
+    assert len(evaluated) <= 2
