@@ -8,7 +8,7 @@ prime shorter than a segment are expanded as strides; a longer prime hits a
 segment at most once and is found by one comparison.  Every hit is checked
 to divide its value.  Two kinds of values feed it:
 
-    q*n + a over n = 1, 1 + step, ...: each prime has one root,
+    q*n + a over odd n: each prime has one root,
         n = -a/q (mod p).  The sieving primes stop at the number of values
         in a segment, not at the square root of the largest value, so a
         huge q stays cheap.
@@ -24,7 +24,7 @@ Every value lies in [0, 2**64), so both kinds are computed in uint64, with
 q n^2 + a taken mod 2**64, which is exact there; the hits' primes are uint64
 too, so nothing is promoted to float.
 
-Two readers sit on the engine, and each route keeps its per-value oracle in
+One reader sits on the engine, and each route keeps its per-value oracle in
 the tests.  _prime_powers reads a value with exactly one sieved prime as
 that prime's power when dividing it out leaves 1, a value with none as
 prime below (bound + 1)**2, bound the reach of the sieving primes, and by
@@ -38,9 +38,11 @@ It serves
         compare_asymptotic (per value: asymptotics._per_value_hits, which
         they keep for short scans)
 
-square_flags(limit), whether each n <= limit is a perfect square, divides
-every sieved prime out completely and reads the parity of its exponent
-(per value: indicator.square_char_liouville).
+square_flags(limit), whether each n <= limit is a perfect square, does
+not factor n and does not use the engine: _hits expands the multiples of
+each prime square p*p <= limit in a segment of n, p*p is divided out of
+them for as long as it divides them, and n is a square when what is left,
+its squarefree kernel, is 1 (per value: indicator.square_char_liouville).
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ import numpy as np
 from . import arith
 from .poly import PolynomialSpec
 
-# Values per segment of q*n + a.  A segment's arrays and those of its hits
-# (about 2.5 per value) peak near 10 MB, at any x.
+# Values per segment of q*n + a, and of n in square_flags.  A segment's
+# arrays and those of its hits (about 2.5 per value) peak near 10 MB, at any x.
 SEGMENT_LENGTH = 1 << 16
 
 # (k0, values, pos, prime) for one segment of _sieve: values (uint64) of the
@@ -67,7 +69,8 @@ def _hits(values: np.ndarray, first: np.ndarray, primes: np.ndarray,
           first_once: np.ndarray, primes_once: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pos, prime) for every hit on a segment of values: the root at index
     first[i] of primes[i] hits first[i], first[i] + primes[i], ... < values.size,
-    and that of primes_once[i] only first_once[i].  prime is uint64.
+    and that of primes_once[i] only first_once[i].  prime is uint64.  The
+    primes may be prime squares, as square_flags expands them.
 
     Raises ArithmeticError if a hit's prime does not divide its value.
     """
@@ -158,16 +161,16 @@ def _prime_powers(segments: Iterator[Hits], prime_top: np.uint64
         yield k0, index, values[index], base[index], exponent[index]
 
 
-def _linear(q: int, a: int, x: int, step: int) -> tuple[int, np.uint64, Iterator[Hits]]:
+def _linear(q: int, a: int, x: int) -> tuple[int, np.uint64, Iterator[Hits]]:
     """(start, prime_top, segments): _sieve's segments of the values q*n + a
-    over n = start, start + step, ... <= x, start the least n = 1 (mod step)
-    with q*n + a >= 1, and the _prime_top of their sieving primes."""
+    over odd n = start, start + 2, ... <= x, start the least odd n with
+    q*n + a >= 1, and the _prime_top of their sieving primes."""
     start = max(1, -((a - 1) // q))
-    start += -(start - 1) % step
-    count = (x - start) // step + 1
+    start += 1 - start % 2
+    count = (x - start) // 2 + 1
     if count < 1:
         return start, _prime_top(0), iter(())
-    A, B = q * step, q * start + a  # value at index k is A*k + B
+    A, B = 2 * q, q * start + a  # value at index k is A*k + B
     if math.gcd(A, B) != 1:
         raise ValueError("the progression's values must share no common factor")
     length = min(count, SEGMENT_LENGTH)
@@ -200,7 +203,7 @@ def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
 
 
 def _lambda_segments(q: int, a: int, x: int) -> Iterator[tuple[list[int], list[float]]]:
-    start, prime_top, segments = _linear(q, a, x, 2)
+    start, prime_top, segments = _linear(q, a, x)
     for k0, index, _, base, _ in _prime_powers(segments, prime_top):
         n0 = start + 2 * k0
         yield [n0 + 2 * i for i in index.tolist()], [math.log(p) for p in base.tolist()]
@@ -215,24 +218,18 @@ def _one_segment_lambda(q: int, a: int, x: int) -> tuple[np.ndarray, np.ndarray]
 def square_flags(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """(start, flags) per segment of n = 1..limit: flags[i] says whether
     n = start + i is a perfect square, read as "every prime exponent of n is
-    even"."""
-    start, prime_top, segments = _linear(1, 0, limit, 1)
-    for k0, values, pos, prime in segments:
-        hit_values = values[pos]
-        quotient, exponent = _divide_out(hit_values, prime)
-        odd = np.zeros(values.size, dtype=bool)
-        odd[pos[exponent % 2 == 1]] = True
-        found = np.ones(values.size, dtype=np.uint64)
-        np.multiply.at(found, pos, hit_values // quotient)  # each hit's prime power
-        del pos, prime, hit_values  # free before the next segment's hits are expanded
-        rest = values // found
-        # A rest of 2 .. prime_top is a prime, an odd exponent; a larger rest
-        # is a square exactly when n's is.
-        square = ~odd & ((rest == 1) | (rest > prime_top))
-        for i in np.flatnonzero(square & (rest > 1)).tolist():
-            r = int(rest[i])
-            square[i] = math.isqrt(r) ** 2 == r
-        yield start + k0, square
+    even": dividing out each prime square p*p <= limit while it divides n
+    leaves n's squarefree kernel, which is 1 exactly when n is a square."""
+    squares = np.array(arith.primes_up_to(math.isqrt(limit)), dtype=np.int64) ** 2
+    none = np.zeros(0, dtype=np.int64)
+    for start in range(1, limit + 1, SEGMENT_LENGTH):
+        kernel = np.arange(start, min(start + SEGMENT_LENGTH, limit + 1), dtype=np.uint64)
+        pos, square = _hits(kernel, -start % squares, squares, none, none)
+        while pos.size:
+            np.floor_divide.at(kernel, pos, square)
+            deeper = kernel[pos] % square == 0
+            pos, square = pos[deeper], square[deeper]
+        yield start, kernel == 1
 
 
 # Odd n per segment of q*n^2 + a.  At x = 1e10 (4n^2 + 1) a segment's arrays

@@ -35,6 +35,10 @@ ROWS_MAX = 10**6
 # the cap is about one minute, so that verify identity --x 1000000000, about
 # two minutes of work, is refused.
 IDENTITY_X_MAX = 5 * 10**8
+# Largest limit of verify_liouville: 28-33 ns per n over runs to 1e8 and 1e9
+# on a 2-core VM, 35 ns on segments at 1e10 (more prime squares per segment),
+# so about six minutes at the cap, near ten when the host runs slow.
+LIOUVILLE_LIMIT_MAX = 10**10
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,16 @@ class VerificationReport:
         return self.cases_passed == self.cases_run
 
 
+def _report(suite: str, cases_run: int, rows: Iterable[Counterexample]) -> VerificationReport:
+    """The report of cases_run cases, each of the rows one that failed."""
+    rows = tuple(rows)
+    return VerificationReport(suite, cases_run, cases_run - len(rows), rows)
+
+
 def _tally(suite: str, outcomes: Iterable[Optional[Counterexample]]) -> VerificationReport:
     """One case per outcome; the outcomes that are not None are the rows, in order."""
-    run = 0
-    rows: list[Counterexample] = []
-    for outcome in outcomes:
-        run += 1
-        if outcome is not None:
-            rows.append(outcome)
-    return VerificationReport(suite, run, run - len(rows), tuple(rows))
+    outcomes = list(outcomes)
+    return _report(suite, len(outcomes), (row for row in outcomes if row is not None))
 
 
 def _caught(check: Callable[..., object], *args: Any) -> Optional[Counterexample]:
@@ -90,7 +95,7 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
     work = q_max * (q_max + 1) // 2 * (2 * m_max + 1)
-    if q_max > ramanujan.DIRECT_Q_CAP or work > DIRECT_WORK_CAP:
+    if work > DIRECT_WORK_CAP:  # from q_max = 44,721 on, far below ramanujan.DIRECT_Q_CAP
         raise CapacityError(f"direct sums capped at q_max <= {ramanujan.DIRECT_Q_CAP} and "
                             f"{DIRECT_WORK_CAP} terms; this sweep needs {work}")
 
@@ -101,14 +106,11 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
         # The closed form and the divisor sum read m only through
         # gcd(|m|, q), so each runs once per gcd the sweep meets.
         gcds = np.gcd(ms, q)
-        seen = np.zeros(q + 1, dtype=bool)
-        seen[gcds] = True
-        closed_at = np.zeros(q + 1, dtype=np.int64)
-        divisor_at = np.zeros(q + 1, dtype=np.int64)
-        for g in np.flatnonzero(seen).tolist():
-            closed_at[g] = ramanujan.ramanujan_closed(q, g)
-            divisor_at[g] = ramanujan.ramanujan_divisor(q, g)
-        closed, divisor = closed_at[gcds], divisor_at[gcds]
+        met = np.flatnonzero(np.bincount(gcds))
+        closed, divisor = np.zeros((2, q + 1), dtype=np.int64)
+        closed[met] = [ramanujan.ramanujan_closed(q, g) for g in met.tolist()]
+        divisor[met] = [ramanujan.ramanujan_divisor(q, g) for g in met.tolist()]
+        closed, divisor = closed[gcds], divisor[gcds]
         for i in np.flatnonzero((closed != divisor) | (closed != direct)).tolist():
             rows.append(Counterexample(
                 inputs={"q": q, "m": int(ms[i])},
@@ -116,8 +118,7 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
                 actual={"direct": int(direct[i]), "closed": int(closed[i]),
                         "divisor": int(divisor[i])},
             ))
-    cases = q_max * ms.size
-    return VerificationReport("ramanujan", cases, cases - len(rows), tuple(rows))
+    return _report("ramanujan", q_max * ms.size, rows)
 
 
 def _class_outcome(
@@ -178,9 +179,7 @@ def verify_parity(x: int, regime: str = "minimal", c: float = 1.0) -> Verificati
                 inputs = {"x": x, "p": ctx.p, "n": n, "mode": mode} if s is None else \
                     {"x": x, "p": ctx.p, "s": s, "n": n, "mode": mode}
                 counterexamples.append(Counterexample(inputs, expected, actual))
-    cases_run = 2 * len(odd_n)
-    return VerificationReport("parity", cases_run, cases_run - len(counterexamples),
-                              tuple(counterexamples))
+    return _report("parity", 2 * len(odd_n), counterexamples)
 
 
 def _char_outcome(ctx: ramanujan.ModulusContext, n: int) -> Optional[tuple[Any, Any]]:
@@ -219,24 +218,26 @@ def verify_char(x: int, regime: str = "minimal", c: float = 1.0) -> Verification
         _require_rows("char", (x + 1) // 2)
         cases = ((n, square if indicator.square_char_isqrt(n) else other)
                  for n in range(1, x + 1, 2))
-    rows = tuple(Counterexample({"x": x, "p": ctx.p, "n": n}, *row)
-                 for n, row in cases if row is not None)
-    cases_run = (x + 1) // 2
-    return VerificationReport("char", cases_run, cases_run - len(rows), rows)
+    rows = (Counterexample({"x": x, "p": ctx.p, "n": n}, *row)
+            for n, row in cases if row is not None)
+    return _report("char", (x + 1) // 2, rows)
 
 
 def verify_liouville(limit: int = 10**5) -> VerificationReport:
     """Exponent-parity square indicator against the squares themselves.
 
-    The parities come from one sieve over 1..limit, a segment at a time;
-    indicator.square_char_liouville reads the same parities from each n's
-    own factorization.  Each segment's reference marks the squares k*k in
-    it, k from math.isqrt at its two ends, so it is exact at any limit and
-    shares nothing with the sieve; indicator.square_char_isqrt per n is its
-    oracle.  Rows are built only where the two disagree.
+    sieve.square_flags reads the parities for n <= limit from each n's
+    squarefree kernel, a segment at a time; square_char_liouville reads them
+    from n's own factorization.  Each segment's reference marks the squares
+    k*k in it, k from math.isqrt at its two ends, so it is exact at any
+    limit and shares nothing with the sieve; square_char_isqrt per n is its
+    oracle.  Rows are built only where the two disagree.  A limit above
+    LIOUVILLE_LIMIT_MAX is refused with CapacityError before any segment.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if limit > LIOUVILLE_LIMIT_MAX:
+        raise CapacityError(f"liouville limit capped at {LIOUVILLE_LIMIT_MAX}; this one is {limit}")
     rows: list[Counterexample] = []
     for start, flags in sieve.square_flags(limit):
         roots = np.arange(math.isqrt(start - 1) + 1, math.isqrt(start + flags.size - 1) + 1,
@@ -246,7 +247,7 @@ def verify_liouville(limit: int = 10**5) -> VerificationReport:
         rows += (Counterexample(inputs={"n": start + i}, expected=bool(squares[i]),
                                 actual=bool(flags[i]))
                  for i in np.flatnonzero(flags != squares).tolist())
-    return VerificationReport("liouville", limit, limit - len(rows), tuple(rows))
+    return _report("liouville", limit, rows)
 
 
 def _identity_grid(

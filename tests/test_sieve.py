@@ -117,8 +117,9 @@ def test_readers_at_the_segment_edge(delta):
 
 
 def test_rest_beyond_the_sieve_is_read_exactly():
-    # With one-value segments nothing is sieved, so every value is resolved
-    # from its rest: the squares by isqrt, the prime powers by prime_power_base.
+    # With one-value segments the linear sieve sieves nothing, so every
+    # value is resolved from its rest by prime_power_base; square_flags still
+    # divides every prime square out of its one value.
     with _segment_length(1):
         assert _square_flags(200) == _square_oracle(200)
         spec = poly.check_admissible(1, 2)
@@ -412,14 +413,14 @@ def test_sieve_values_and_primes_are_uint64(monkeypatch):
     # uint64 mixed with int64 becomes float64, which loses bits past 2**53,
     # under numpy 1.24's promotion rules as under numpy 2's.
     seen = []
-    real = sieve._sieve
+    real = sieve._hits
 
-    def spy(*args):
-        for k0, values, pos, prime in real(*args):
-            seen.append((values.dtype, prime.dtype))
-            yield k0, values, pos, prime
+    def spy(values, *args):
+        pos, prime = real(values, *args)
+        seen.append((values.dtype, prime.dtype))
+        return pos, prime
 
-    monkeypatch.setattr(sieve, "_sieve", spy)
+    monkeypatch.setattr(sieve, "_hits", spy)
     sieve._one_segment_lambda.cache_clear()
     uint64 = np.dtype(np.uint64)
     q = I64_MAX // 5000**2 - 1
@@ -445,8 +446,9 @@ def test_sieve_routes_keep_their_memory():
     # Traced peaks: 8.57 MB for verify_liouville(1e5) and 1.49 MB for psi2 at
     # 1e10 before the two engines were merged, 6.56 and 1.49 MB after, and
     # 8.59 and 1.69 MB when no reader drops a segment's hits before the next
-    # segment's are expanded.
+    # segment's are expanded.  square_flags by squarefree kernel, off the
+    # engine, peaks at 1.71 MB.
     liouville = _traced_peak(lambda: verification.verify_liouville(10**5))
-    assert liouville < 8 * 10**6, liouville
+    assert liouville < 3 * 10**6, liouville
     psi2 = _traced_peak(lambda: asymptotics.psi2_count(poly.check_admissible(4, 1), 10**10))
     assert psi2 < 1.65 * 10**6, psi2

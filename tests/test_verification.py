@@ -248,6 +248,19 @@ def test_liouville_suite_all_pass():
     assert report.all_passed
 
 
+def test_liouville_suite_refuses_an_oversized_limit_up_front(monkeypatch):
+    def started(limit):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr(sieve, "square_flags", started)
+    cap = verification.LIOUVILLE_LIMIT_MAX
+    with pytest.raises(AssertionError, match="sweep started"):
+        verification.verify_liouville(cap)
+    for limit in (cap + 1, 10**12):
+        with pytest.raises(CapacityError, match=f"capped at {cap}; this one is {limit}"):
+            verification.verify_liouville(limit)
+
+
 @pytest.mark.parametrize("limit", (99, 100, 101, 65535, 65536, 65537))
 def test_liouville_suite_rows_match_the_per_n_oracle(monkeypatch, limit):
     # The sieve's flags read as "n is a multiple of 1000" on its own
