@@ -14,7 +14,6 @@ LemmaCounterexample with the measured value attached.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterator, Optional
 
@@ -25,19 +24,14 @@ from .errors import CapacityError, LemmaCounterexample, PrecisionError
 from .poly import PolynomialSpec, check_admissible  # noqa: F401 (re-export)
 from .poly import lambda_weight, require_admissible
 
-# Work caps keep the desk-scale checks interactive.
+# The float path of the linear expansion runs only where the literal triple
+# sum has at most FLOAT_WORK_CAP terms and N is at most FLOAT_TABLE_CAP.
+# The two caps select the grid points that carry the float-matches-exact
+# case; they do not bound the path's work, which is two length-N
+# transforms.
 FLOAT_WORK_CAP = 10**9
-# Largest N of the float route: its roots then take 16 MB and its int32
-# index table below 32 MB.  Each n adds at most 24 MB more: the N-long int64
-# count with one 2N-bin bincount folded into it, or the count with its
-# nonzero k and their multiplicities.
 FLOAT_TABLE_CAP = 10**6
 ERROR_TERM_X_CAP = 10**4
-# Table entries per bincount of the float route's index histogram.
-_FLOAT_BLOCK = 1 << 18
-# Multiplicities below this keep the products of _split's halves exact.
-_SPLIT_LIMIT = 1 << 26
-_HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)
 
 
 def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.ModulusContext:
@@ -96,72 +90,23 @@ def _shift_coefficients(
         yield (lw, *shift_sum(n))
 
 
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi + lo == v exactly, hi being v with its low 27 significand bits cleared.
+def _unit_sums(ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]) -> np.ndarray:
+    """F with F[n] = sum of w * e((t - n) u / N) over the (w, t) in points and
+    the units u mod N, for every n < N at once, as complex floats.
 
-    hi has at most 26 significant bits and lo at most 27, so for any integer
-    m < 2**26 both hi * m and lo * m are exact (short of overflow), and
-    hi * m + lo * m is exactly v * m.
+    With h the point weights binned at t mod N, S = N * ifft(h) holds
+    sum w * e(t u / N) at each u; zeroed off the units (the even u and the
+    multiples of p), fft(S) is F.  Two length-N transforms, with no
+    Ramanujan value and no gcd argument: F[n] is an integer up to rounding.
     """
-    hi = (v.view(np.uint64) & _HIGH_BITS).view(np.float64)
-    return hi, v - hi
-
-
-def _index_table(N: int, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, units): the units u < N coprime to N as int64, and the int32
-    table s^2 u mod N + N for s = 1 .. R, one row per s.
-
-    The index (s^2 - n) u mod N of the float route is (s^2 u mod N) - (n u
-    mod N) mod N, and table - row, row = n u mod N, lies in (0, 2N), so
-    _index_counts needs no % per n.  s^2 u < R^2 N <= x N stays far below
-    2**63 under the float route's caps.
-    """
-    units = np.arange(1, N, dtype=np.int64)
-    units = units[np.gcd(units, N) == 1]
-    table = np.empty((R, units.size), dtype=np.int32)
-    for s in range(1, R + 1):
-        table[s - 1] = (units * (s * s) % N + N).astype(np.int32)
-    return table, units
-
-
-def _index_counts(table: np.ndarray, units: np.ndarray, N: int, n: int) -> np.ndarray:
-    """How often each index k < N occurs as (s^2 - n) u mod N over the table.
-
-    Bincounts of table - row over 2N bins, each folded in place into one
-    N-long int64 count.  At most _FLOAT_BLOCK entries go to each bincount,
-    so its temporaries stay small however large the table is.
-    """
-    row = (units * n % N).astype(np.int32)
-    rows = max(1, _FLOAT_BLOCK // units.size)
-    counts = np.zeros(N, dtype=np.int64)
-    for start in range(0, table.shape[0], rows):
-        halves = np.bincount((table[start:start + rows] - row).ravel(), minlength=2 * N)
-        counts += halves[:N]
-        counts += halves[N:]
-        del halves  # before the next block's bincount
-    return counts
-
-
-def _add_terms(
-    lw: float, counts: np.ndarray, roots: np.ndarray, imag: arith.ExactSum, real: arith.ExactSum
-) -> None:
-    """Add lw * roots[k], counts[k] times, for each k, to the imaginary and
-    real sums, as the exact pairs hi * m, lo * m of _split.
-
-    The distinct k go arith.EXACT_SUM_BATCH at a time, so besides k and its
-    counts no temporary holds more than one batch, however large N is.
-    """
-    k = np.flatnonzero(counts)
-    m = counts[k]
-    if m.max() >= _SPLIT_LIMIT:
-        raise PrecisionError(f"index multiplicity {m.max()} >= 2**26 in float path")
-    for start in range(0, k.size, arith.EXACT_SUM_BATCH):
-        ks = k[start:start + arith.EXACT_SUM_BATCH]
-        ms = m[start:start + arith.EXACT_SUM_BATCH].astype(np.float64)
-        for part, total in ((roots.imag, imag), (roots.real, real)):
-            hi, lo = _split(lw * part[ks])
-            total.add(hi * ms)
-            total.add(lo * ms)
+    weights, shifts = zip(*points)
+    h = np.bincount(np.array(shifts) % ctx.N, weights=weights, minlength=ctx.N)
+    S = np.fft.ifft(h)
+    del h
+    S *= ctx.N
+    S[::2] = 0
+    S[::ctx.p] = 0
+    return np.fft.fft(S)
 
 
 def rhs_linear_expansion(
@@ -172,46 +117,37 @@ def rhs_linear_expansion(
     Exact path: for each odd n <= x the inner double sum over s and u
     collapses to the integer phi(N) * [s^2 = n] + c_N(s^2 - n), so the term
     is Lambda(q n + a) times an exact rational coefficient.  Float path:
-    direct complex-exponential summation from an index histogram, in one
-    pass over the weighted n.  For each n it counts how often each table
-    index occurs, adds each distinct term once with its count through an
-    exact two-float split, and feeds both parts (imaginary and real) to
-    an arith.ExactSum, which rounds each once, so each is the correctly
-    rounded sum of every term.  It runs only when the triple-sum size is
-    within FLOAT_WORK_CAP and N within FLOAT_TABLE_CAP, and is None
-    otherwise.
+    the same double sum F[n] over s and the units u, for every n at once
+    from two length-N transforms (_unit_sums), then the math.fsum of
+    Lambda(q n + a) * F[n] over the weighted n, divided by phi(N).  It runs
+    only when the triple-sum size is within FLOAT_WORK_CAP and N within
+    FLOAT_TABLE_CAP, and is None otherwise.
 
-    The float route's index table holds R * phi(N) int32 entries.  With the
-    default c the caps admit at most 1,025,520 (4.1 MB), at inflated x =
-    1680, N = 51278, and 379,584 in the minimal regime, at x = 5261; at x =
-    1024 it holds 32,960.  Under any c both caps together keep it below
-    7.9 million entries (32 MB), near x = 256 with N near 1e6.
+    The float path holds a handful of N-long arrays: the bins, the
+    transforms' complex arrays and F, about 41 N bytes at the peak.  numpy
+    transforms N = 2p's prime factor p by Bluestein's algorithm, whose own
+    work buffers come on top: in all the path raises the peak RSS by about
+    150 MB at N = 996,878, near the largest N the caps admit (numpy 2.4.6).
     """
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
-    terms = _shift_coefficients(spec, ctx, [(1, s * s) for s in range(1, R + 1)])
+    points = [(1, s * s) for s in range(1, R + 1)]
+    terms = _shift_coefficients(spec, ctx, points)
     rhs_exact = math.fsum(full / phi_n * lw for lw, full, _ in terms if full)
     if ((ctx.x + 1) // 2) * R * phi_n > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
         return rhs_exact, None
 
-    # Independent route on purpose: local tables and literal index counting,
-    # no shared Ramanujan code.  For each weighted n the indices
-    # (s^2 - n) * u mod N are counted once, and each distinct product
-    # v = lw * roots[k], the IEEE product a term-by-term sum would add,
-    # enters both parts' sums once with its multiplicity m, as the exact
-    # pair hi * m, lo * m of _split.  The work cap keeps x in the sieve
-    # segment the exact pass cached.
-    N = ctx.N
-    roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
-    table, units = _index_table(N, R)
-    imag, real = arith.ExactSum(), arith.ExactSum()
-    for n, lw in sieve.linear_lambda(spec, ctx.x):
-        _add_terms(lw, _index_counts(table, units, N, n), roots, imag, real)
-
-    imag_total = imag.value() / phi_n
+    # Independent route on purpose: the exponential sums from numpy's
+    # transforms, no shared Ramanujan code.  The work cap keeps x in the
+    # sieve segment the exact pass cached.
+    F = _unit_sums(ctx, points)
+    weighted = list(sieve.linear_lambda(spec, ctx.x))
+    n = [n for n, _ in weighted]
+    lw = np.array([lw for _, lw in weighted])
+    imag_total = math.fsum(lw * F.imag[n]) / phi_n
     if abs(imag_total) >= 1e-6:
         raise PrecisionError(f"imaginary residue {imag_total} in float path")
-    return rhs_exact, real.value() / phi_n
+    return rhs_exact, math.fsum(lw * F.real[n]) / phi_n
 
 
 def main_term_decomposition(

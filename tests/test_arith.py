@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import float_oracle
 from quadprimes import arith, identity
 
 try:
@@ -267,9 +268,10 @@ def test_prime_blocks_partition_the_list_sieve(limit):
 
 
 def _exact_sum(values: list[float], pieces: list[int]) -> float:
-    # Adds values to one ExactSum in pieces of the given lengths, cycling,
-    # with a piece of 1 after each round; empty pieces are added too.
-    total = arith.ExactSum()
+    # Adds values to one of the float oracle's ExactSums in pieces of the
+    # given lengths, cycling, with a piece of 1 after each round; empty
+    # pieces are added too.
+    total = float_oracle.ExactSum()
     start = 0
     for size in itertools.cycle(pieces + [1]):
         if start >= len(values):
@@ -288,12 +290,12 @@ def _same_sum(got: float, values: list[float]) -> bool:
 
 
 @needs_hypothesis
-@pytest.mark.parametrize("batch", [3, arith.EXACT_SUM_BATCH])
+@pytest.mark.parametrize("batch", [3, float_oracle.EXACT_SUM_BATCH])
 def test_exact_sum_rounds_like_fsum(batch, monkeypatch):
     # Subnormals, values near +-2**996 and mixed signs, sums that cancel to
     # zero or to a few ulps of their largest term, in pieces that cross
     # flush boundaries: a batch of 3 flushes at nearly every add.
-    monkeypatch.setattr(arith, "EXACT_SUM_BATCH", batch)
+    monkeypatch.setattr(float_oracle, "EXACT_SUM_BATCH", batch)
     scales = st.integers(-1074, 996)
     values = st.one_of(
         st.floats(-(2.0**996), 2.0**996, allow_nan=False),
@@ -320,7 +322,7 @@ def test_exact_sum_rounds_like_fsum(batch, monkeypatch):
 def test_exact_sum_across_many_flushes():
     rng = random.Random(3)
     values = [math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 996))
-              for _ in range(3 * arith.EXACT_SUM_BATCH + 5)]
+              for _ in range(3 * float_oracle.EXACT_SUM_BATCH + 5)]
     values += [-v for v in values[::2]] + [rng.gauss(0, 1) for _ in range(1000)]
     rng.shuffle(values)
     for pieces in ([1], [7, 5000], [len(values)]):
@@ -328,12 +330,12 @@ def test_exact_sum_across_many_flushes():
 
 
 def test_exact_sum_bins_cannot_overflow_within_the_float_work_cap(monkeypatch):
-    # A value adds at most 2**27 in magnitude to an int64 bin; the float
-    # route adds at most two values per term to each of its sums.
-    assert arith._EXACT_SUM_MAX_VALUES * 2**27 <= 2**62
-    assert 2 * identity.FLOAT_WORK_CAP < arith._EXACT_SUM_MAX_VALUES
-    monkeypatch.setattr(arith, "_EXACT_SUM_MAX_VALUES", 10)
-    total = arith.ExactSum()
+    # A value adds at most 2**27 in magnitude to an int64 bin; the oracle
+    # adds at most two values per term to each of its sums.
+    assert float_oracle._EXACT_SUM_MAX_VALUES * 2**27 <= 2**62
+    assert 2 * identity.FLOAT_WORK_CAP < float_oracle._EXACT_SUM_MAX_VALUES
+    monkeypatch.setattr(float_oracle, "_EXACT_SUM_MAX_VALUES", 10)
+    total = float_oracle.ExactSum()
     total.add(np.ones(10))
     assert total.value() == 10.0
     total.add(np.ones(1))

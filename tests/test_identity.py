@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -11,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadprimes import arith, identity, indicator, sieve, verification
+import float_oracle
+from quadprimes import arith, identity, indicator, ramanujan, sieve, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
 
 try:
@@ -119,25 +121,25 @@ def test_rhs_float_path_capacity():
 
 
 def test_rhs_float_route_skips_oversized_tables(monkeypatch):
-    # N = 3.7e8 passes the work cap with 7.5e8 terms, but its tables would
-    # need about 12 GB; the route must be skipped before any is built.
+    # N = 3.7e8 passes the work cap with 7.5e8 terms, but its transforms
+    # would need about 15 GB; the route must be skipped before either runs.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(4, "inflated", 15.0)
     assert ctx.N > identity.FLOAT_TABLE_CAP
     assert 2 * ctx.floor_sqrt_x * arith.euler_phi(ctx.N) <= identity.FLOAT_WORK_CAP
 
     def refuse(*args, **kwargs):
-        raise AssertionError("float-route table built")
+        raise AssertionError("float-route transform run")
 
-    monkeypatch.setattr(identity.np, "fromiter", refuse)
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
     rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
     assert rhs_float is None and rhs_exact > 0
 
 
 def test_rhs_float_path_memory_is_bounded():
-    # x = 256 sums about 1M real and imaginary terms; the float route
-    # counts each n's indices into one folded histogram and adds its
-    # distinct terms to arith.ExactSum's bins instead of keeping them.
+    # x = 256 has about 1M terms in the literal sum; the float route holds
+    # a few N-long arrays (N = 514) and no term.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(256)
     tracemalloc.start()
@@ -160,15 +162,28 @@ def _traced_peak(run) -> int:
 
 
 def test_rhs_float_path_memory_at_large_N():
-    # x = 16 with N = 200,302: the roots (16 N bytes) and the int32 index
-    # table (4 R phi(N) bytes) stay resident, and each n's histogram and
-    # its terms add only a few N-long arrays on top.
+    # x = 16 with N = 200,302: the bins (8 N bytes), the transforms'
+    # complex arrays and F (16 N each) are the float route's only N-long
+    # arrays; about 41 N bytes at the peak on numpy 2.4.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(16, "inflated", 5.25)
     assert ctx.N > 2 * 10**5
-    resident = 16 * ctx.N + 4 * ctx.floor_sqrt_x * arith.euler_phi(ctx.N)
     peak = _traced_peak(lambda: identity.rhs_linear_expansion(spec, ctx))
-    assert peak < resident + 56 * ctx.N, (peak, resident)
+    assert peak < 48 * ctx.N, peak
+
+
+def test_rhs_float_path_at_the_table_cap():
+    # N = 996,878, just under FLOAT_TABLE_CAP: the transforms' float value
+    # lies within criterion 4's 1e-6 of the exact path, with about 41 N
+    # bytes of traced arrays (numpy's FFT work buffers are not traced).
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(4, "inflated", 9.965)
+    assert 0.99 * identity.FLOAT_TABLE_CAP < ctx.N <= identity.FLOAT_TABLE_CAP
+    results = []
+    peak = _traced_peak(lambda: results.append(identity.rhs_linear_expansion(spec, ctx)))
+    rhs_exact, rhs_float = results[0]
+    assert abs(rhs_float - rhs_exact) < 1e-6
+    assert peak < 48 * ctx.N, peak
 
 
 def test_rhs_exact_path_holds_no_more_than_its_sieve():
@@ -185,7 +200,7 @@ def test_rhs_exact_path_holds_no_more_than_its_sieve():
 
 
 def test_rhs_float_is_correctly_rounded_sum_of_every_term():
-    # The float route must round the exact sum of all its terms once: plain
+    # The oracle must round the exact sum of all its terms once: plain
     # left-to-right addition of the same terms gives different low bits.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(64)
@@ -196,7 +211,7 @@ def test_rhs_float_is_correctly_rounded_sum_of_every_term():
     for n in range(1, ctx.x + 1, 2):
         lw = arith.von_mangoldt(4 * n + 1)
         terms += [lw * roots[(s * s - n) * u % N].real for s in range(1, R + 1) for u in units]
-    _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    rhs_float = float_oracle.rhs_float(spec, ctx)
     assert rhs_float.hex() == (math.fsum(terms) / len(units)).hex()
 
 
@@ -205,26 +220,85 @@ def test_rhs_float_route_reads_the_sieve_the_exact_pass_cached():
     ctx = identity.make_context(1024)
     sieve._one_segment_lambda.cache_clear()
     rhs_exact, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    oracle_float = float_oracle.rhs_float(spec, ctx)
     assert sieve._one_segment_lambda.cache_info().misses == 1
-    assert (rhs_exact.hex(), rhs_float.hex()) == ("0x1.da4b6ce94a063p+4", "0x1.da4b6ce949ef6p+4")
+    assert (rhs_exact.hex(), oracle_float.hex()) == ("0x1.da4b6ce94a063p+4", "0x1.da4b6ce949ef6p+4")
+    assert rhs_float == pytest.approx(oracle_float, rel=1e-11)
 
 
-def test_rhs_float_keeps_its_bits():
-    # rhs_float of every pair at each x = 16 .. 400 with even floor(sqrt(x)),
-    # in both regimes, and of (4, 1) at 1024 and 1296, pinned as the
-    # term-by-term math.fsum route gave them: counting the indices must not
-    # move a single ulp.
+def _float_configs() -> list[tuple[int, int, int, str]]:
+    # Every pair at x = r^2 for even r = 4 .. 20, in both regimes, and
+    # (4, 1) at 1024 and 1296: 128 configurations.
     pairs = verification.IDENTITY_PAIRS + ((2, 3), (6, 1))
     configs = [(q, a, r * r, regime) for regime in ("minimal", "inflated")
                for q, a in pairs for r in range(4, 21, 2)]
-    configs += [(4, 1, 1024, "minimal"), (4, 1, 1296, "minimal")]
-    lines = []
-    for q, a, x, regime in configs:
-        spec = identity.check_admissible(q, a)
-        _, rhs_float = identity.rhs_linear_expansion(spec, identity.make_context(x, regime))
-        lines.append(f"{q},{a},{x},{regime}:{rhs_float.hex()}")
+    return configs + [(4, 1, 1024, "minimal"), (4, 1, 1296, "minimal")]
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_floats() -> tuple[float, ...]:
+    return tuple(float_oracle.rhs_float(identity.check_admissible(q, a),
+                                        identity.make_context(x, regime))
+                 for q, a, x, regime in _float_configs())
+
+
+def test_rhs_float_keeps_its_bits():
+    # The oracle's value on every configuration, pinned as the term-by-term
+    # math.fsum route gave them: counting the indices must not move a single
+    # ulp.
+    lines = [f"{q},{a},{x},{regime}:{value.hex()}"
+             for (q, a, x, regime), value in zip(_float_configs(), _oracle_floats())]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest[:16] == "b067e0e7bd75798c"
+
+
+def test_rhs_float_agrees_with_the_oracle():
+    # The transforms' bits may depend on the numpy version, so the library's
+    # float value is held to the oracle by tolerance only.
+    for (q, a, x, regime), expected in zip(_float_configs(), _oracle_floats()):
+        spec = identity.check_admissible(q, a)
+        _, rhs_float = identity.rhs_linear_expansion(spec, identity.make_context(x, regime))
+        assert rhs_float == pytest.approx(expected, rel=1e-11, abs=0), (q, a, x, regime)
+
+
+def _unit_sum_mismatches(x: int, regime: str) -> list[tuple[str, int]]:
+    # (point set, n) wherever the rounded transform differs from shift_sums'
+    # full at an odd n <= x, for the three point sets the suites read: the
+    # squares, the window s <= R and the error term's divisor weights.
+    ctx = identity.make_context(x, regime)
+    R = ctx.floor_sqrt_x
+    point_sets = {"squares": [(1, s * s) for s in range(1, R + 1)],
+                  "window": [(1, s) for s in range(1, R + 1)],
+                  "divisors": identity.divisor_weights(R)}
+    mismatches = []
+    for name, points in point_sets.items():
+        odd = identity._unit_sums(ctx, points)[1:x + 1:2]
+        rounded = np.round(odd.real)
+        assert np.abs(odd - rounded).max() < 1e-6, (name, x, regime)
+        shift_sum = ramanujan.shift_sums(ctx, points)
+        mismatches += [(name, n) for n, value in zip(range(1, x + 1, 2), rounded.tolist())
+                       if value != shift_sum(n)[0]]
+    return mismatches
+
+
+def test_transform_confirms_the_three_class_argument():
+    # shift_sums reads c_N at the three gcd classes 1, 2 and 2p; the
+    # transform sums the exponential sums over the units with neither.
+    xs = [x for x in range(16, 401) if math.isqrt(x) % 2 == 0]
+    for regime in ("minimal", "inflated"):
+        for x in xs:
+            assert _unit_sum_mismatches(x, regime) == [], (x, regime)
+    assert _unit_sum_mismatches(10**4, "minimal") == []
+
+
+@pytest.mark.parametrize("broken_gcd", [1, 2])
+def test_transform_catches_a_broken_class_value(broken_gcd, monkeypatch, cold_ramanujan_memos):
+    # c_N off by one at gcd 1 or at gcd 2 shows in all three point sets.
+    closed_value = ramanujan._closed_value
+    monkeypatch.setattr(ramanujan, "_closed_value",
+                        lambda q, d: closed_value(q, d) + (d == broken_gcd))
+    mismatches = _unit_sum_mismatches(100, "minimal")
+    assert {name for name, _ in mismatches} == {"squares", "window", "divisors"}
 
 
 def _near_power_of_two(exponent: int, steps: int, negative: bool) -> float:
@@ -244,11 +318,11 @@ def test_split_times_any_multiplicity_is_exact():
     )
 
     @settings(deadline=None, derandomize=True, max_examples=400)
-    @given(values, st.integers(1, identity._SPLIT_LIMIT - 1))
-    @example(math.nextafter(2.0, 0.0), identity._SPLIT_LIMIT - 1)
-    @example(-math.nextafter(2.0**-1022, 0.0), identity._SPLIT_LIMIT - 1)
+    @given(values, st.integers(1, float_oracle._SPLIT_LIMIT - 1))
+    @example(math.nextafter(2.0, 0.0), float_oracle._SPLIT_LIMIT - 1)
+    @example(-math.nextafter(2.0**-1022, 0.0), float_oracle._SPLIT_LIMIT - 1)
     def check(v: float, m: int) -> None:
-        hi, lo = identity._split(np.array([v]))
+        hi, lo = float_oracle._split(np.array([v]))
         weight = np.float64(m)
         assert Fraction(float(hi[0] * weight)) + Fraction(float(lo[0] * weight)) == Fraction(v) * m
 
@@ -257,13 +331,13 @@ def test_split_times_any_multiplicity_is_exact():
 
 def test_rhs_float_refuses_a_multiplicity_past_the_split(monkeypatch):
     # At x = 16, n = 1 = 1^2 has weight ln 5, and its s = 1 shift sends all
-    # phi(N) = 16 units to index 0: a limit of 16 must stop the route.
+    # phi(N) = 16 units to index 0: a limit of 16 must stop the oracle.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(16)
     assert arith.euler_phi(ctx.N) == 16
-    monkeypatch.setattr(identity, "_SPLIT_LIMIT", 16)
+    monkeypatch.setattr(float_oracle, "_SPLIT_LIMIT", 16)
     with pytest.raises(PrecisionError, match="multiplicity"):
-        identity.rhs_linear_expansion(spec, ctx)
+        float_oracle.rhs_float(spec, ctx)
 
 
 def _literal_counts(N: int, R: int, n: int) -> np.ndarray:
@@ -280,32 +354,33 @@ def test_folded_histogram_counts_every_index_literally(x, regime, block, monkeyp
     # Every odd n <= x, against np.bincount((s^2 - n) u % N); a block of
     # 1000 entries gives each of the 10 rows its own bincount (phi(N) = 856).
     if block:
-        monkeypatch.setattr(identity, "_FLOAT_BLOCK", block)
+        monkeypatch.setattr(float_oracle, "_FLOAT_BLOCK", block)
     ctx = identity.make_context(x, regime)
     N, R = ctx.N, ctx.floor_sqrt_x
-    table, units = identity._index_table(N, R)
+    table, units = float_oracle._index_table(N, R)
     assert table.dtype == np.int32 and table.shape == (R, arith.euler_phi(N))
     assert N <= table.min() and table.max() < 2 * N
     for n in range(1, x + 1, 2):
-        assert np.array_equal(identity._index_counts(table, units, N, n),
+        assert np.array_equal(float_oracle._index_counts(table, units, N, n),
                               _literal_counts(N, R, n)), n
 
 
 def test_folded_histogram_at_a_large_floor_sqrt():
     # R = 100, N = 20014: a million-entry table over four bincounts, past
-    # the float route's work cap but not the histogram's arithmetic.
+    # the float path's work cap but not the histogram's arithmetic.
     ctx = identity.make_context(10**4)
     N, R = ctx.N, ctx.floor_sqrt_x
-    table, units = identity._index_table(N, R)
-    assert table.size > 3 * identity._FLOAT_BLOCK
+    table, units = float_oracle._index_table(N, R)
+    assert table.size > 3 * float_oracle._FLOAT_BLOCK
     for n in (1, 3, 2401, 5001, 9801, 9999):
-        assert np.array_equal(identity._index_counts(table, units, N, n),
+        assert np.array_equal(float_oracle._index_counts(table, units, N, n),
                               _literal_counts(N, R, n)), n
 
 
 def test_float_route_histograms_once_per_n_in_int32(monkeypatch):
-    # One histogram per weighted n feeds both parts, and every index array
-    # it counts is int32 within (0, 2N), whatever numpy's promotion rules.
+    # One oracle histogram per weighted n feeds both parts, and every index
+    # array it counts is int32 within (0, 2N), whatever numpy's promotion
+    # rules.
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(1024)
     counted = []
@@ -316,8 +391,8 @@ def test_float_route_histograms_once_per_n_in_int32(monkeypatch):
             counted.append((indices.dtype, int(indices.min()), int(indices.max()), minlength))
         return bincount(indices, weights, minlength)
 
-    monkeypatch.setattr(identity.np, "bincount", spy)
-    _, rhs_float = identity.rhs_linear_expansion(spec, ctx)
+    monkeypatch.setattr(float_oracle.np, "bincount", spy)
+    rhs_float = float_oracle.rhs_float(spec, ctx)
     assert rhs_float.hex() == "0x1.da4b6ce949ef6p+4"
     weighted = sum(1 for _ in sieve.linear_lambda(spec, ctx.x))
     assert len(counted) == weighted == 146
