@@ -4,6 +4,7 @@ Key functions:
     factorize(n): complete prime factorization (trial division + Pollard rho)
     is_prime(n): deterministic Miller-Rabin, exact for n < 2**64
     mobius(n), euler_phi(n), liouville(n): multiplicative functions
+    mobius_phi_tables(limit): mu and phi on 0..limit from one sieve pass
     von_mangoldt(n): Lambda(n) = ln p when n = p**k, else 0.0
     prime_power_base(n): fast prime-power predicate without full factorization
     jacobi(a, n): Jacobi symbol via binary reciprocity
@@ -341,6 +342,28 @@ def euler_phi(n: int) -> int:
     for p, _ in _factorize_raw(n):
         result = result // p * (p - 1)
     return result
+
+
+def mobius_phi_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Mobius function and Euler's totient on 0..limit as int64 arrays,
+    0 at n = 0, from one pass over primes_up_to(limit).
+
+    Each prime p flips the sign of mu at its multiples and zeroes it at the
+    multiples of p*p, and takes phi(n) to phi(n) * (p - 1) / p at its
+    multiples; phi is still divisible by p there, since the primes come in
+    ascending order.  mobius and euler_phi, one factorization per n, are
+    the oracles.
+    """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    mu = np.ones(limit + 1, dtype=np.int64)
+    phi = np.arange(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        phi[p::p] -= phi[p::p] // p
+    return mu, phi
 
 
 def liouville(n: int) -> int:

@@ -14,6 +14,13 @@ meets once and keeps nothing.  Few residues gather their roots of unity in
 numpy blocks; more take one discrete Fourier transform of the coprime
 indicator, every residue of q at once.
 
+verification.verify_ramanujan checks the three routes once per class
+(q, m mod q).  It reads the direct sums from direct_cells, one
+_direct_totals call per modulus, rounded by the rule of direct_values, and
+forms the closed form and the divisor sum from arith.mobius_phi_tables;
+the per-call ramanujan_closed and ramanujan_divisor are its oracles in the
+tests.
+
 shift_sums gives, for every n in 1..x at N = 2p, the exact sum of w * c_N(t - n)
 over weighted points (w, t) and its diagonal weight d, the total w at t = n, from
 three closed-form values: for 1 <= t, n <= x < p, gcd(t - n, 2p) depends only on
@@ -171,21 +178,58 @@ def direct_values(q: int, ms: Sequence[int]) -> np.ndarray:
         PrecisionError: imaginary part or rounding residual >= 1e-6, naming
             the first such m in ms.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q > DIRECT_Q_CAP:
-        raise CapacityError(f"direct path capped at q <= {DIRECT_Q_CAP}")
+    _require_direct_modulus(q)
     residues = np.remainder(np.asarray(ms), q).astype(np.int64)
     seen = np.zeros(q, dtype=bool)
     seen[residues] = True
     keys = np.flatnonzero(seen)
     totals = _direct_totals(q, keys)[np.searchsorted(keys, residues)]
+    return _rounded(totals, lambda i: f"c_{q}({ms[i]})")
+
+
+def direct_cells(q: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """c_q(m) at each cell (q[i], ms[i]) by literal complex summation, as int64.
+
+    Each run of consecutive cells with one modulus is one _direct_totals
+    call at its residues ms % q, rounded by the rule of direct_values.  A
+    residue is summed as often as it occurs in its run, so a caller passes
+    each residue of a modulus once.
+
+    Raises:
+        CapacityError: a q beyond the float-path cap.
+        PrecisionError: imaginary part or rounding residual >= 1e-6, naming
+            the first such cell.
+    """
+    residues = ms % q
+    totals = np.empty(q.size, dtype=complex)
+    edges = [0, *(np.flatnonzero(np.diff(q)) + 1).tolist(), q.size]
+    for start, stop in zip(edges, edges[1:]):
+        modulus = int(q[start])
+        _require_direct_modulus(modulus)
+        totals[start:stop] = _direct_totals(modulus, residues[start:stop])
+    return _rounded(totals, lambda i: f"c_{q[i]}({ms[i]})")
+
+
+def _require_direct_modulus(q: int) -> None:
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if q > DIRECT_Q_CAP:
+        raise CapacityError(f"direct path capped at q <= {DIRECT_Q_CAP}")
+
+
+def _rounded(totals: np.ndarray, case: Callable[[int], str]) -> np.ndarray:
+    """Direct sums rounded to int64, case(i) naming the sum at index i.
+
+    Raises:
+        PrecisionError: imaginary part or rounding residual >= 1e-6, naming
+            the first such case.
+    """
     values = np.rint(totals.real)
     residual = np.maximum(np.abs(totals.imag), np.abs(totals.real - values))
     bad = np.flatnonzero(residual >= 1e-6)
     if bad.size:
         i = bad[0]
-        raise PrecisionError(f"c_{q}({ms[i]}) residual {residual[i]:.3e} >= 1e-6")
+        raise PrecisionError(f"{case(i)} residual {residual[i]:.3e} >= 1e-6")
     return values.astype(np.int64)
 
 

@@ -6,6 +6,7 @@ exhaustive inventory, which the CLI then turns into an exit code.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -19,9 +20,14 @@ from .errors import CapacityError, LemmaCounterexample
 IDENTITY_PAIRS = ((4, 1), (2, 1), (3, 2), (5, 2), (8, 3))
 IDENTITY_X_VALUES = (16, 36, 100, 144)
 # Bound on verify_ramanujan's sweep, q_max (q_max + 1) / 2 * (2 m_max + 1):
-# the size of the literal sums' (q, a, m) grid.  Most moduli sum all their
-# residues in one transform, so it bounds the sweep, not the work done on it.
+# the size of the literal sums' (q, a, m) grid.  The sweep checks each class
+# (q, m mod q) once, min(q, 2 m_max + 1) of them per q with one transform or
+# gather per q, in blocks of bounded memory.  So once 2 m_max + 1 > q_max a
+# passing sweep does no more work as m_max grows, and the cap bounds the
+# grid, not the work: at q_max = 1 it admits m_max = 499,999,999, under 1 ms.
 DIRECT_WORK_CAP = 10**9
+# Cells, one per class (q, m mod q), of one block of moduli in verify_ramanujan.
+_CLASS_BLOCK = 1 << 14
 # Counterexample rows verify_parity and verify_char may build, counted on the
 # odd n a sweep may visit before any row is.  With --output json both took
 # about 20-30 us and 1.1-1.3 KB of peak RSS per row on a 2-core VM: parity
@@ -89,9 +95,68 @@ def _require_rows(suite: str, rows: int) -> None:
         raise CapacityError(f"{suite} rows capped at {ROWS_MAX}; this sweep needs {rows}")
 
 
+def _divisor_row(q: int, m_max: int, size: int, mu: np.ndarray) -> np.ndarray:
+    """The divisor sums of q at its first size m of the sweep, m = -m_max +
+    j: mu(q/d) * d added at every j with d | m, that is j = m_max mod d,
+    one strided add per divisor d of q."""
+    row = np.zeros(size, dtype=np.int64)
+    small = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+    for d in {*small, *(q // d for d in small)}:
+        if mu[q // d]:
+            row[m_max % d::d] += mu[q // d] * d
+    return row
+
+
+def _class_rows(lo: int, hi: int, m_max: int, mu: np.ndarray,
+                phi: np.ndarray) -> Iterator[Counterexample]:
+    """verify_ramanujan's rows for lo <= q <= hi, in (q, m) order.
+
+    The cells are each q's first min(q, 2 m_max + 1) m of the sweep, one per
+    class (q, m mod q) it meets; each failing cell is a row at every m of
+    its class.
+    """
+    width = 2 * m_max + 1
+    moduli = np.arange(lo, hi + 1, dtype=np.int64)
+    sizes = np.minimum(moduli, width)
+    starts = np.cumsum(sizes) - sizes
+    q = np.repeat(moduli, sizes)
+    m = np.arange(q.size, dtype=np.int64) - np.repeat(starts, sizes) - m_max
+    k = q // np.gcd(m, q)  # q / gcd(|m|, q)
+    guard = np.flatnonzero((mu[k] != 0) & (phi[q] % phi[k] != 0))
+    if guard.size:
+        i = guard[0]
+        raise ArithmeticError(f"phi({q[i]}) not divisible by phi({k[i]})")
+    closed = mu[k] * (phi[q] // phi[k])
+    direct = ramanujan.direct_cells(q, m)
+    divisor = np.concatenate([_divisor_row(modulus, m_max, size, mu)
+                              for modulus, size in zip(moduli.tolist(), sizes.tolist())])
+    failing = np.flatnonzero((closed != divisor) | (closed != direct)).tolist()
+    for modulus, cells in itertools.groupby(failing, key=lambda i: int(q[i])):
+        classes = [(int(m[i]), int(direct[i]), int(closed[i]), int(divisor[i])) for i in cells]
+        for shift in range(0, width, modulus):
+            for first, *values in classes:
+                if first + shift <= m_max:
+                    yield Counterexample(
+                        inputs={"q": modulus, "m": first + shift},
+                        expected="direct = closed = divisor",
+                        actual=dict(zip(("direct", "closed", "divisor"), values)),
+                    )
+
+
 def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     """Three-way agreement of the direct, closed-form, and divisor sums at
-    every 1 <= q <= q_max and |m| <= m_max, one pass per q."""
+    every 1 <= q <= q_max and |m| <= m_max, checked once per class (q, m mod q).
+
+    The report equals one check per (q, m).  Two facts of plain arithmetic,
+    not the Ramanujan-sum theorem under test, make a class's verdict its
+    first m's: the direct sum reads m only through m mod q (a*m = a*r mod
+    q), and the other two routes read it only through gcd(|m|, q), which is
+    gcd(m mod q, q).  So each q checks its first min(q, 2 m_max + 1) m, one
+    per class, and a failing class is a row at every m of it.  The moduli go
+    in blocks of about _CLASS_BLOCK cells, and mu and phi come from one
+    table on 0..q_max, so memory stays bounded at any m_max.  A sweep whose
+    literal grid exceeds DIRECT_WORK_CAP is refused before any work.
+    """
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
     work = q_max * (q_max + 1) // 2 * (2 * m_max + 1)
@@ -99,26 +164,18 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
         raise CapacityError(f"direct sums capped at q_max <= {ramanujan.DIRECT_Q_CAP} and "
                             f"{DIRECT_WORK_CAP} terms; this sweep needs {work}")
 
-    ms = np.arange(-m_max, m_max + 1, dtype=np.int64)
+    mu, phi = arith.mobius_phi_tables(q_max)
+    width = 2 * m_max + 1
     rows: list[Counterexample] = []
-    for q in range(1, q_max + 1):
-        direct = ramanujan.direct_values(q, ms)
-        # The closed form and the divisor sum read m only through
-        # gcd(|m|, q), so each runs once per gcd the sweep meets.
-        gcds = np.gcd(ms, q)
-        met = np.flatnonzero(np.bincount(gcds))
-        closed, divisor = np.zeros((2, q + 1), dtype=np.int64)
-        closed[met] = [ramanujan.ramanujan_closed(q, g) for g in met.tolist()]
-        divisor[met] = [ramanujan.ramanujan_divisor(q, g) for g in met.tolist()]
-        closed, divisor = closed[gcds], divisor[gcds]
-        for i in np.flatnonzero((closed != divisor) | (closed != direct)).tolist():
-            rows.append(Counterexample(
-                inputs={"q": q, "m": int(ms[i])},
-                expected="direct = closed = divisor",
-                actual={"direct": int(direct[i]), "closed": int(closed[i]),
-                        "divisor": int(divisor[i])},
-            ))
-    return _report("ramanujan", q_max * ms.size, rows)
+    lo = 1
+    while lo <= q_max:
+        hi, cells = lo, min(lo, width)
+        while hi < q_max and cells + min(hi + 1, width) <= _CLASS_BLOCK:
+            hi += 1
+            cells += min(hi, width)
+        rows += _class_rows(lo, hi, m_max, mu, phi)
+        lo = hi + 1
+    return _report("ramanujan", q_max * width, rows)
 
 
 def _class_outcome(

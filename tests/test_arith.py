@@ -201,6 +201,18 @@ def test_multiplicative_functions_against_slow_oracle():
         assert arith.liouville(n) == (-1) ** sum(fac.values()), n
 
 
+def test_mobius_phi_tables_match_the_per_call_functions():
+    mu, phi = arith.mobius_phi_tables(10**4)
+    assert (mu.dtype, phi.dtype) == (np.int64, np.int64)
+    assert mu.tolist() == [0] + [arith.mobius(n) for n in range(1, 10**4 + 1)]
+    assert phi.tolist() == [0] + [arith.euler_phi(n) for n in range(1, 10**4 + 1)]
+    for limit in (0, 1, 2, 4):
+        assert [t.tolist() for t in arith.mobius_phi_tables(limit)] == [
+            mu[:limit + 1].tolist(), phi[:limit + 1].tolist()]
+    with pytest.raises(ValueError):
+        arith.mobius_phi_tables(-1)
+
+
 def test_von_mangoldt_structure():
     assert arith.von_mangoldt(8) == math.log(2)
     assert arith.von_mangoldt(1) == 0.0

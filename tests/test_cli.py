@@ -347,10 +347,10 @@ def test_invariant_guard_exits_two(capsys, monkeypatch, cold_ramanujan_memos):
 
 
 def test_oversized_ramanujan_sweep_refused_before_it_starts(capsys, monkeypatch):
-    def never(q, m):
+    def never(limit):
         raise AssertionError("sweep started")
 
-    monkeypatch.setattr(ramanujan, "ramanujan_closed", never)
+    monkeypatch.setattr(arith, "mobius_phi_tables", never)
     code, out, err = _run(capsys, ["verify", "ramanujan", "--q-max", "2000000", "--m-max", "0"])
     assert code == 2
     assert out == "" and err.startswith("error: direct sums capped")

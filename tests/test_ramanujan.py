@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quadprimes import arith, identity, ramanujan
-from quadprimes.errors import CapacityError, LemmaCounterexample
+from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
 
 
 def _ctx(x: int) -> ramanujan.ModulusContext:
@@ -146,6 +146,33 @@ def test_direct_values_read_any_integer_through_its_residue():
     for q in (1, 7, 12):
         assert ramanujan.direct_values(q, ms).tolist() == [
             ramanujan.ramanujan_closed(q, m) for m in ms], q
+
+
+def test_direct_cells_equal_direct_values_run_by_run():
+    # Runs of 1, 7, 3, 2 and 12 cells at q = 1, 7, 12, 5 and 12 again; the
+    # first run of 12 straddles 0, and the run of 5 is at m = ±10**12.
+    q = np.repeat(np.array([1, 7, 12, 5, 12], dtype=np.int64), [1, 7, 3, 2, 12])
+    ms = np.array([-4, *range(-3, 4), -1, 0, 1, 10**12, -10**12, *range(12)], dtype=np.int64)
+    expected = [ramanujan.direct_values(int(qi), [int(m)])[0] for qi, m in zip(q, ms)]
+    values = ramanujan.direct_cells(q, ms)
+    assert values.dtype == np.int64 and values.tolist() == expected
+    with pytest.raises(CapacityError):
+        ramanujan.direct_cells(np.array([ramanujan.DIRECT_Q_CAP + 1]), np.array([0]))
+
+
+def test_direct_cells_name_the_first_imprecise_cell(monkeypatch):
+    real_totals = ramanujan._direct_totals
+
+    def off_at_5_2(q, residues):
+        totals = real_totals(q, residues)
+        if q == 5:
+            totals[residues == 2] += 1e-3
+        return totals
+
+    monkeypatch.setattr(ramanujan, "_direct_totals", off_at_5_2)
+    q = np.array([3, 3, 5, 5, 5], dtype=np.int64)
+    with pytest.raises(PrecisionError, match=r"^c_5\(-3\) residual 1\.000e-03 >= 1e-6$"):
+        ramanujan.direct_cells(q, np.array([1, 2, -4, -3, 2], dtype=np.int64))
 
 
 @pytest.mark.parametrize("q", (999983, 10**6))

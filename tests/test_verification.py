@@ -4,12 +4,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadprimes import identity, indicator, ramanujan, sieve, verification
+from quadprimes import arith, identity, indicator, ramanujan, sieve, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
 
 # Failing parity cases per x, established by exhaustive independent runs:
@@ -36,10 +37,11 @@ def test_ramanujan_suite_rejects_bad_bounds():
 
 
 def test_ramanujan_suite_refuses_oversized_sweeps_up_front(monkeypatch):
-    def never(q, m):
+    def never(*args):
         raise AssertionError("sweep started")
 
-    monkeypatch.setattr(ramanujan, "ramanujan_closed", never)
+    monkeypatch.setattr(arith, "mobius_phi_tables", never)
+    monkeypatch.setattr(ramanujan, "_direct_totals", never)
     with pytest.raises(CapacityError):
         verification.verify_ramanujan(ramanujan.DIRECT_Q_CAP + 1, 0)
     # 1000 * 1001 / 2 * 2001 = 1.0e9 terms, just over the work cap.
@@ -67,12 +69,21 @@ def _per_case_report(q_max: int, m_max: int) -> verification.VerificationReport:
 
 
 def test_ramanujan_suite_rows_match_the_per_case_loop(monkeypatch):
-    real_divisor = ramanujan.ramanujan_divisor
+    # The divisor route read one too high at (12, gcd 4): the sweep's rows
+    # and the per-case divisor sum both.
+    real_row, real_divisor = verification._divisor_row, ramanujan.ramanujan_divisor
+
+    def row_wrong_at_12_4(q, m_max, size, mu):
+        row = real_row(q, m_max, size, mu)
+        if q == 12:
+            row[np.gcd(np.arange(size) - m_max, q) == 4] += 1
+        return row
 
     def wrong_at_12_4(q, m):
         value = real_divisor(q, m)
         return value + 1 if (q, math.gcd(abs(m), q)) == (12, 4) else value
 
+    monkeypatch.setattr(verification, "_divisor_row", row_wrong_at_12_4)
     monkeypatch.setattr(ramanujan, "ramanujan_divisor", wrong_at_12_4)
     report = verification.verify_ramanujan(20, 20)
     assert report == _per_case_report(20, 20)
@@ -81,6 +92,112 @@ def test_ramanujan_suite_rows_match_the_per_case_loop(monkeypatch):
     for ce in report.counterexamples:
         assert ce.actual == {"direct": -2, "closed": -2, "divisor": -1}
         assert {type(v) for v in (*ce.inputs.values(), *ce.actual.values())} == {int}
+
+
+@pytest.mark.parametrize("q_max, m_max", [(1, 0), (1, 5), (13, 0), (13, 1), (30, 5), (6, 30)])
+def test_ramanujan_suite_by_class_matches_the_per_case_loop(monkeypatch, q_max, m_max):
+    # Blocks of 16 cells: the sweep spans blocks, and 2 m_max + 1 < q for
+    # most q when m_max is 0, 1 or 5.
+    monkeypatch.setattr(verification, "_CLASS_BLOCK", 16)
+    report = verification.verify_ramanujan(q_max, m_max)
+    assert report == _per_case_report(q_max, m_max)
+    assert (report.cases_run, report.all_passed) == (q_max * (2 * m_max + 1), True)
+
+
+def _break_route(monkeypatch, route):
+    # One route broken alike in the sweep and in the per-case calls: a mu
+    # entry, a phi entry (its divisibility guard still holds), one divisor
+    # slice (d = 4 of q = 12) or the direct sums at residue 1 of three moduli.
+    real_tables = arith.mobius_phi_tables
+    if route in ("mu", "phi"):
+        n, value = (3, 1) if route == "mu" else (5, 2)
+        table, scalar = (0, "mobius") if route == "mu" else (1, "euler_phi")
+
+        def broken_tables(limit):
+            tables = real_tables(limit)
+            if n <= limit:
+                tables[table][n] = value
+            return tables
+
+        real_scalar = getattr(arith, scalar)
+        monkeypatch.setattr(arith, "mobius_phi_tables", broken_tables)
+        monkeypatch.setattr(arith, scalar, lambda k: value if k == n else real_scalar(k))
+    elif route == "divisor":
+        real_row, real_divisor = verification._divisor_row, ramanujan.ramanujan_divisor
+
+        def broken_row(q, m_max, size, mu):
+            row = real_row(q, m_max, size, mu)
+            if q == 12:
+                row[m_max % 4::4] += 1
+            return row
+
+        monkeypatch.setattr(verification, "_divisor_row", broken_row)
+        monkeypatch.setattr(ramanujan, "ramanujan_divisor",
+                            lambda q, m: real_divisor(q, m) + (q == 12 and m % 4 == 0))
+    else:
+        real_totals = ramanujan._direct_totals
+
+        def broken_totals(q, residues):
+            totals = real_totals(q, residues)
+            if q in (5, 9, 12):
+                totals[residues == 1] += 1
+            return totals
+
+        monkeypatch.setattr(ramanujan, "_direct_totals", broken_totals)
+
+
+@pytest.mark.parametrize("route", ["mu", "phi", "divisor", "direct"])
+@pytest.mark.parametrize("m_max", [1, 5, 13])
+def test_ramanujan_suite_catches_each_broken_route_as_the_per_case_loop(
+        monkeypatch, cold_ramanujan_memos, route, m_max):
+    monkeypatch.setattr(verification, "_CLASS_BLOCK", 16)
+    _break_route(monkeypatch, route)
+    report = verification.verify_ramanujan(20, m_max)
+    assert report == _per_case_report(20, m_max)
+    assert report.counterexamples
+    _check_report_invariants(report)
+
+
+def test_ramanujan_suite_keeps_the_totient_guard(monkeypatch, cold_ramanujan_memos):
+    # phi(6) read as 4 leaves phi(18) = 6 not divisible by it; the sweep
+    # stops at the per-case loop's first such (q, m), with its message.
+    real_tables, real_phi = arith.mobius_phi_tables, arith.euler_phi
+
+    def broken_tables(limit):
+        mu, phi = real_tables(limit)
+        phi[6] = 4
+        return mu, phi
+
+    monkeypatch.setattr(arith, "mobius_phi_tables", broken_tables)
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 4 if n == 6 else real_phi(n))
+    with pytest.raises(ArithmeticError) as expected:
+        _per_case_report(20, 5)
+    with pytest.raises(ArithmeticError) as info:
+        verification.verify_ramanujan(20, 5)
+    assert str(info.value) == str(expected.value) == "phi(18) not divisible by phi(6)"
+
+
+@pytest.mark.parametrize("q_max, m_max", [(1, 499_999_999), (10, 9_090_908), (1000, 998)])
+def test_ramanujan_suite_at_the_cap_runs_in_bounded_memory(q_max, m_max):
+    # Each sweep is within DIRECT_WORK_CAP, and one more m would pass it;
+    # the per-m arrays of a sweep over every m would take 8 GB, 145 MB and
+    # 16 KB.
+    def grid(m_max):
+        return q_max * (q_max + 1) // 2 * (2 * m_max + 1)
+
+    assert grid(m_max) <= verification.DIRECT_WORK_CAP < grid(m_max + 1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verification.verify_ramanujan(q_max, m_max)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.cases_run, report.all_passed) == (q_max * (2 * m_max + 1), True)
+    assert peak < (2**20 if q_max == 1 else 2**22)
+    if q_max == 1:
+        assert elapsed < 1
 
 
 def test_ramanujan_suite_names_the_first_imprecise_case(monkeypatch):
