@@ -13,7 +13,9 @@ Key functions:
     characters(m, primes), class_characters(m): Legendre symbols (m | p) on
         int64 prime arrays, by Euler's criterion once per class of p mod 4|m|
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
-    prime_blocks(limit): the segmented sieve's primes as int64 arrays
+    prime_blocks(limit): the segmented sieve's primes as int64 arrays, each
+        segment sieved on its odd numbers from a pattern presieved by the
+        wheel primes 3, 5, 7, 11 and 13
     next_prime_above(x): successor prime within the 64-bit range
 
 All functions are pure and deterministic.  Values above 2**64 - 1 are outside
@@ -508,30 +510,66 @@ def primes_up_to(limit: int) -> list[int]:
     return _sieve(limit).tolist()
 
 
+# The odd primes of the wheel: every segment of prime_blocks starts as a copy
+# of _wheel's presieved pattern, so only the sieving primes above these write.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)  # 15,015 odd numbers
+
+
+@lru_cache(maxsize=1)
+def _wheel(length: int) -> np.ndarray:
+    """Flags for the odd numbers 2i + 1, i = 0 .. length + _WHEEL_PERIOD - 1:
+    whether 2i + 1 has no prime factor in _WHEEL_PRIMES, the wheel primes
+    themselves included.  It repeats every _WHEEL_PERIOD entries, so each
+    window of length entries starts at one of its first _WHEEL_PERIOD."""
+    flags = np.ones(length + _WHEEL_PERIOD, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        flags[(p - 1) // 2:: p] = False  # 2i + 1 = 0 (mod p)
+    flags.flags.writeable = False  # shared by every call; segments copy it
+    return flags
+
+
 def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """Yield the primes <= limit in ascending int64 blocks via a segmented sieve.
 
-    The first block holds the sieving primes up to sqrt(limit); each later
-    block holds the primes of one segment and may be empty.  Memory use is
-    bounded by the segment size regardless of limit, which is what makes
-    Euler products up to 10**8 practical.
+    The first block holds the sieving primes up to sqrt(limit), by the plain
+    sieve; each later block holds the primes of one segment of SEGMENT_SIZE
+    numbers and may be empty.  A segment sieves its odd numbers only, and
+    starts as a copy of the wheel's pattern with the multiples of 3, 5, 7,
+    11 and 13 already struck (P. Pritchard, J. Algorithms 4, 1983), so only
+    the sieving primes above 13 write, each from the odd multiple carried
+    over from the segment before.  2 and the wheel primes are added back
+    where a segment holds them (limit < 196).  Memory use is bounded by the
+    segment size regardless of limit, which is what makes Euler products up
+    to 10**8 practical.
     """
     if limit < 2:
         return
     root = math.isqrt(limit)
     base = _sieve(root)
     yield base
-    sieving = base.tolist()
+    sieving = base[base > _WHEEL_PRIMES[-1]]
+    primes = sieving.tolist()
+    pattern = _wheel(SEGMENT_SIZE // 2)
     start = root + 1
+    odd = start | 1  # the segment's first odd number, 2 * (odd // 2) + 1
+    # Offset, in odd numbers from odd, of each sieving prime's first odd
+    # multiple at or past it: 2i + 1 = 0 (mod p) at i = (p - 1) / 2 (mod p).
+    offset = ((sieving - 1) // 2 - odd // 2) % sieving
     while start <= limit:
         stop = min(start + SEGMENT_SIZE, limit + 1)
-        seg = np.ones(stop - start, dtype=bool)
-        for p in sieving:
-            first = ((start + p - 1) // p) * p
-            if first < stop:
-                seg[first - start:: p] = False
-        yield start + np.nonzero(seg)[0].astype(np.int64)
-        start = stop
+        size = (stop - odd + 1) // 2  # odd numbers in [start, stop)
+        phase = odd // 2 % _WHEEL_PERIOD
+        seg = pattern[phase: phase + size].copy()
+        for p, k in zip(primes, offset.tolist()):
+            seg[k:: p] = False
+        found = odd + 2 * np.flatnonzero(seg).astype(np.int64)
+        if start <= _WHEEL_PRIMES[-1]:
+            small = [w for w in (2, *_WHEEL_PRIMES) if start <= w < stop]
+            found = np.concatenate((np.array(small, dtype=np.int64), found))
+        yield found
+        offset = (offset - size) % sieving
+        start, odd = stop, odd + 2 * size
 
 
 def iter_primes(limit: int) -> Iterator[int]:

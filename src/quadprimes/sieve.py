@@ -18,7 +18,7 @@ to divide its value.  Two kinds of values feed it:
         q t^2 + a = 0 (mod p).  The Legendre symbol (-a q | p) of
         arith.class_characters, the Euler products' own, says how many,
         and Tonelli-Shanks finds them, a whole arith.prime_blocks block at
-        a time.
+        a time, with no inverse of q mod p.
 
 Every value lies in [0, 2**64), so both kinds are computed in uint64, with
 q n^2 + a taken mod 2**64, which is exact there; the hits' primes are uint64
@@ -294,47 +294,54 @@ def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, n
     """(p, t) per arith.prime_blocks block: every root t of q t^2 + a = 0
     (mod p) for the odd primes p <= bound not dividing q, p once per root.
 
-    They are t = s / q for the roots s of s^2 = -a q (mod p), and the
-    character chi(p) = (-a q | p) of arith.class_characters counts them:
-    where chi = 0, p divides a and 0 is the one root; where chi = 1 there
-    are two, by Tonelli-Shanks; where chi = -1 there are none.  q and a may
-    be any size; bound is at most arith.INT64_PRIME_MAX.
+    The character chi(p) = (-a q | p) of arith.class_characters counts
+    them: where chi = 0, p divides a and 0 is the one root; where chi = 1
+    there are two, t and -t with q t^2 = -a, from _square_roots of c = -a q
+    with factor -a, so t = r / q for the root r of c and no inverse of q is
+    taken; where chi = -1 there are none.  q and a may be any size; bound is
+    at most arith.INT64_PRIME_MAX.  The non-residues' character tables are
+    kept for the whole call.
     """
     characters = arith.class_characters(-a * q)
+    tables: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
     for block in arith.prime_blocks(bound):
         p = block[block > 2]
         q_p, chi = arith.residues(q, p), characters(p)
         zero, split, q_p = p[(chi == 0) & (q_p != 0)], p[chi == 1], q_p[chi == 1]
-        s = _square_roots(arith.residues(-a, split) * q_p % split, split)
-        t = s * arith.power_mod(q_p, split - 2, split) % split
+        minus_a = arith.residues(-a, split)
+        t = _square_roots(minus_a * q_p % split, split, minus_a, tables)
         yield (np.concatenate((zero, split, split)),
                np.concatenate((np.zeros_like(zero), t, split - t)))
 
 
-def _square_roots(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A t with t*t = c (mod p) for each square 0 < c < p mod an odd prime
-    p <= arith.INT64_PRIME_MAX.
+def _square_roots(c: np.ndarray, p: np.ndarray, factor: np.ndarray,
+                  tables: dict[int, Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+    """A t with c t^2 = factor^2 (mod p) for each square 0 < c < p mod an odd
+    prime p <= arith.INT64_PRIME_MAX and 0 <= factor < p: t = r factor / c
+    for a root r of c, and r itself when factor is c.
 
     Tonelli-Shanks on every p at once, with p - 1 = Q 2**s.
-    t = c**((Q+1)/2) is a root when u = c**Q is 1, as for every square mod
-    p = 3 (mod 4), where t is the one power c**((p+1)/4).  u has order 2**i
-    with i < s exactly when c is a square; each round multiplies t by a power
-    of z**Q, for a non-residue z, so that i falls, on the unfinished entries
-    only.  If some c is not a square, or some z is, an i stays where it
-    was, and ArithmeticError is raised instead of looping.
+    r = c**((Q+1)/2) is a root when u = c**Q is 1, as for every square mod
+    p = 3 (mod 4), where r is the one power c**((p+1)/4); so t starts as
+    c**((Q-1)/2) factor.  u has order 2**i with i < s exactly when c is a
+    square; each round multiplies r, and so t, by a power of z**Q, for a
+    non-residue z from _non_residues (tables passed on), so that i falls,
+    on the unfinished entries only.  If some c is not a square, or some z
+    is, an i stays where it was, and ArithmeticError is raised instead of
+    looping.
     """
     low = (p - 1) & (1 - p)  # the lowest set bit of p - 1, 2**s
     odd, s = (p - 1) // low, np.frexp(low)[1].astype(np.int64) - 1
     w = arith.power_mod(c, (odd - 1) >> 1, p)
-    t = w * c % p
-    u = w * t % p
+    t = w * factor % p
+    u = w * w % p * c % p
 
     todo = np.flatnonzero(u != 1)
     pt, m, tt, ut = p[todo], s[todo], t[todo], u[todo]
     i = _order(ut, pt, m)
     if np.any(i == m):
         raise ArithmeticError("Tonelli-Shanks needs a square")
-    g = arith.power_mod(_non_residues(pt), odd[todo], pt)  # order 2**m
+    g = arith.power_mod(_non_residues(pt, tables), odd[todo], pt)  # order 2**m
     while todo.size:
         b = _square_times(g, m - i - 1, pt)
         tt = tt * b % pt
@@ -374,15 +381,21 @@ def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray
     return x
 
 
-def _non_residues(p: np.ndarray) -> np.ndarray:
+def _non_residues(p: np.ndarray, tables: dict[int, Callable[[np.ndarray], np.ndarray]]
+                  ) -> np.ndarray:
     """A quadratic non-residue mod each odd prime p: the first prime z below
     256 with (z | p) = -1, read from arith.class_characters on the p still
-    without one, about half of which each z settles.  Every p the sieve
-    reaches has one; none would raise ArithmeticError.
+    without one, about half of which each z settles.  tables keeps each z's
+    class_characters, added on first use, from one call to the next, so a
+    caller that passes the same dict runs Euler's criterion at most once
+    per class of each z.  Every p the sieve reaches has one; none would
+    raise ArithmeticError.
     """
     z, need = np.zeros_like(p), np.arange(p.size)
     for candidate in arith.primes_up_to(256):
-        hit = arith.class_characters(candidate)(p[need]) == -1
+        if candidate not in tables:
+            tables[candidate] = arith.class_characters(candidate)
+        hit = tables[candidate](p[need]) == -1
         z[need[hit]] = candidate
         need = need[~hit]
         if not need.size:

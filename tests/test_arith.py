@@ -279,6 +279,66 @@ def test_prime_blocks_partition_the_list_sieve(limit):
     assert list(arith.iter_primes(limit)) == flat
 
 
+def _plain_blocks(limit: int, primes: list[int], blocks: int) -> list[list[int]]:
+    # The first `blocks` blocks of prime_blocks(limit), cut from the plain
+    # sieve's primes (which reach at least that far): the primes up to
+    # isqrt(limit), then one block per SEGMENT_SIZE numbers.
+    root = math.isqrt(limit)
+    out = [[p for p in primes if p <= root]]
+    for start in range(root + 1, limit + 1, arith.SEGMENT_SIZE)[:blocks - 1]:
+        stop = min(start + arith.SEGMENT_SIZE, limit + 1)
+        out.append([p for p in primes if start <= p < stop])
+    return out
+
+
+def _wheel_blocks(limit: int, blocks: int) -> list[list[int]]:
+    found = list(itertools.islice(arith.prime_blocks(limit), blocks))
+    assert all(block.dtype == np.int64 for block in found)
+    return [block.tolist() for block in found]
+
+
+def test_prime_blocks_equal_the_plain_sieve_block_for_block_up_to_2000():
+    # Every limit whose segment holds 2 or a wheel prime (root <= 13), and
+    # every segment start against the wheel's phase up to 2000.
+    primes = arith.primes_up_to(2000)
+    for limit in range(2001):
+        blocks = [] if limit < 2 else _plain_blocks(limit, primes, 2)
+        assert _wheel_blocks(limit, 3) == blocks, limit
+
+
+# Limits within 2 of k segment lengths, and within 2 of the limit whose k-th
+# segment ends exactly at it (limit - isqrt(limit) = k SEGMENT_SIZE): the
+# last segment is 1 to 3 numbers long or within 2 of a full one, after
+# multiples carried across k - 1 boundaries.
+SEGMENT_EDGE_LIMITS = sorted({
+    edge + d
+    for k in range(1, 5)
+    for edge in (k * arith.SEGMENT_SIZE,
+                 k * arith.SEGMENT_SIZE + math.isqrt(k * arith.SEGMENT_SIZE
+                                                     + math.isqrt(k * arith.SEGMENT_SIZE)))
+    for d in range(-2, 3)})
+
+
+def test_prime_blocks_equal_the_plain_sieve_at_segment_edges():
+    primes = arith.primes_up_to(SEGMENT_EDGE_LIMITS[-1])
+    for limit in SEGMENT_EDGE_LIMITS:
+        assert _wheel_blocks(limit, 6) == _plain_blocks(limit, primes, 6), limit
+
+
+# Roots whose first segment starts within 3 of a multiple of 30,030: its
+# first odd number is just before or just after the start of the wheel's
+# 15,015-odd-number period, so its copy of the pattern runs to the pattern's
+# end or starts at its beginning.  The first three blocks are checked.
+PERIOD_EDGE_ROOTS = [30030 * j + d for j in (1, 2) for d in range(-4, 3)]
+
+
+def test_prime_blocks_equal_the_plain_sieve_across_the_wheel_period():
+    primes = arith.primes_up_to(PERIOD_EDGE_ROOTS[-1] + 2 * arith.SEGMENT_SIZE + 1)
+    for root in PERIOD_EDGE_ROOTS:
+        for limit in (root * root, root * root + 2 * root):  # isqrt(limit) == root
+            assert _wheel_blocks(limit, 3) == _plain_blocks(limit, primes, 3), limit
+
+
 def _exact_sum(values: list[float], pieces: list[int]) -> float:
     # Adds values to one of the float oracle's ExactSums in pieces of the
     # given lengths, cycling, with a piece of 1 after each round; empty

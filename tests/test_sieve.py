@@ -318,6 +318,26 @@ def test_quadratic_roots_solve_their_congruence(q, a):
     assert all(len(roots) <= 2 for roots in found.values())
 
 
+# q with two to four odd primes, negative a, and q and |a| past the primes
+# (q and a coprime): the roots of q t^2 + a come from the root of -a q times -a,
+# with no inverse of q.  The primes up to 2000 include p = 1 (mod 2**k) for
+# k = 3 .. 8 (257 and 769 for k = 8), so Tonelli-Shanks takes up to seven
+# rounds.
+INVERSE_FREE_SPECS = [(105, -2), (1155, 2), (1155, -4), (105, -(10**6 + 3)),
+                      (1155 * 10007, -(17**30)), (3 * 10**9 + 19, -(2**61 - 1)), (3465, -3465 - 8)]
+
+
+@pytest.mark.parametrize("q, a", INVERSE_FREE_SPECS)
+def test_quadratic_roots_without_an_inverse_match_brute_force(q, a):
+    found = _roots(q, a, 2000)
+    primes = arith.primes_up_to(2000)[1:]
+    for p in primes:
+        brute = [t for t in range(p) if (q % p * t * t + a) % p == 0]
+        assert sorted(found.get(p, [])) == brute, (q, a, p)
+    deep = [p for p in found if p % 8 == 1 and q % p and a % p]
+    assert deep and max((p - 1) & (1 - p) for p in deep) >= 64, (q, a)
+
+
 # p*p just below 2**63, and primes with p - 1 divisible by 2**23 to 2**27:
 # all past 2**27, where residues, the character and Tonelli-Shanks stay exact.
 INT64_REACH_PRIMES = [arith.next_prime_above(3037000499 - 600 * k) for k in range(1, 6)]
@@ -342,18 +362,18 @@ def test_square_roots_near_the_int64_reach():
         assert 2**27 < p <= arith.INT64_PRIME_MAX
         r = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
         c = r * r % p
-        t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64))
+        t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64), c, {})
         for ci, ti in zip(c.tolist(), t.tolist()):
             assert ti * ti % p == ci, (p, ci)
         # A non-residue is refused, not looped on.
-        z = sieve._non_residues(np.array([p]))
+        z = sieve._non_residues(np.array([p]), {})
         with pytest.raises(ArithmeticError, match="needs a square"):
-            sieve._square_roots(z, np.array([p]))
+            sieve._square_roots(z, np.array([p]), z, {})
 
 
 def test_non_residues_are_the_least_prime_non_residues():
     primes = arith.primes_up_to(10**5)[1:] + INT64_REACH_PRIMES
-    z = sieve._non_residues(np.array(primes, dtype=np.int64)).tolist()
+    z = sieve._non_residues(np.array(primes, dtype=np.int64), {}).tolist()
     for p, zp in zip(primes, z):
         assert arith.jacobi(zp, p) == -1, (p, zp)
         assert all(arith.jacobi(y, p) == 1 for y in arith.primes_up_to(zp - 1)), (p, zp)
@@ -362,27 +382,32 @@ def test_non_residues_are_the_least_prime_non_residues():
 def test_quadratic_roots_read_one_character_per_class(monkeypatch):
     # For 4 t^2 + 1, chi(p) = (-4 | p): Euler's criterion runs at most once
     # per class of p mod 16, and Tonelli-Shanks runs on the split primes,
-    # p = 1 (mod 4), only.
+    # p = 1 (mod 4), only.  The non-residue search's characters (z | p) run
+    # at most once per class of p mod 4z in the whole call, across its four
+    # prime_blocks blocks.
     real_characters, real_square_roots = arith.characters, sieve._square_roots
-    asked: list[int] = []
+    asked: dict[int, list[int]] = {}
     rooted: list[int] = []
 
     def characters(m, primes):
-        if m == -4:
-            asked.extend(primes.tolist())
+        asked.setdefault(m, []).extend(primes.tolist())
         return real_characters(m, primes)
 
-    def square_roots(c, p):
+    def square_roots(c, p, factor, tables):
         rooted.extend(p.tolist())
-        return real_square_roots(c, p)
+        return real_square_roots(c, p, factor, tables)
 
     monkeypatch.setattr(arith, "characters", characters)
     monkeypatch.setattr(sieve, "_square_roots", square_roots)
     bound = 3 * arith.SEGMENT_SIZE
     found = _roots(4, 1, bound)
-    assert len({p % 16 for p in asked}) == len(asked) <= 8
+    assert len({p % 16 for p in asked[-4]}) == len(asked[-4]) <= 8
     split = [p for p in arith.primes_up_to(bound) if p % 4 == 1]
     assert sorted(rooted) == split and sorted(found) == split
+    non_residues = set(asked) - {-4}
+    assert non_residues and non_residues <= set(arith.primes_up_to(256))
+    for z in non_residues:
+        assert len({p % (4 * z) for p in asked[z]}) == len(asked[z]) <= 4 * z, z
 
 
 def test_corrupted_root_raises_at_its_first_hit(monkeypatch):
