@@ -40,7 +40,8 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
     The minimal regime takes the next prime above x.  The inflated regime
     takes the next prime at or above ceil(x * e^(c * sqrt(ln x))), matching
     the growth rate the error analysis assumes; c is unpinned upstream and
-    defaults to 1.
+    defaults to 1.  A c that is not finite, or whose target has no prime
+    at or above it within 64 bits, is refused with ValueError naming x and c.
     """
     if x < 4:
         raise ValueError("x must be >= 4")
@@ -49,9 +50,15 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
     if regime == "minimal":
         p = arith.next_prime_above(x)
     else:
-        if not c > 0:
+        if c <= 0:
             raise ValueError("c must be positive")
-        target = math.ceil(x * math.exp(c * math.sqrt(math.log(x))))
+        try:
+            target = math.ceil(x * math.exp(c * math.sqrt(math.log(x))))
+        except (OverflowError, ValueError):  # c is NaN or infinite, or the target passes float
+            target = math.inf
+        if target > arith.LARGEST_U64_PRIME:
+            raise ValueError(f"no prime at or above x * e^(c sqrt(ln x)) within the 64-bit "
+                             f"range for x={x}, c={c}")
         p = target if arith.is_prime(target) else arith.next_prime_above(target)
     return ramanujan.ModulusContext(x=x, p=p)
 

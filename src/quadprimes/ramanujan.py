@@ -9,14 +9,13 @@ routes are exposed so each can cross-check the others:
 
 The closed form and the divisor sum memoise their values, bounded, on
 exactly the integers their formulas read, (q, gcd(|m|, q)).  The direct sum
-reads m only through the residue m % q: each call sums every residue it
-meets once and keeps nothing.  Few residues gather their roots of unity in
-numpy blocks; more take one discrete Fourier transform of the coprime
-indicator, every residue of q at once.
+reads m only through the residue m % q and keeps nothing.  Few residues
+gather their roots of unity in numpy blocks; more take one discrete
+Fourier transform of the coprime indicator, every residue of q at once.
 
 verification.verify_ramanujan checks the three routes once per class
 (q, m mod q).  It reads the direct sums from direct_cells, one
-_direct_totals call per modulus, rounded by the rule of direct_values, and
+_direct_totals call per modulus, rounded as ramanujan_direct rounds, and
 forms the closed form and the divisor sum from arith.mobius_phi_tables;
 the per-call ramanujan_closed and ramanujan_divisor are its oracles in the
 tests.
@@ -43,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -161,37 +160,11 @@ def _gathered_totals(q: int, residues: np.ndarray) -> np.ndarray:
     return totals
 
 
-def direct_values(q: int, ms: Sequence[int]) -> np.ndarray:
-    """c_q(m) for each m in ms by literal complex summation, as int64.
-
-    The sum reads m only through r = m % q, since a*m % q == a*r % q, so
-    each distinct residue is summed once, by _direct_totals.  Not keyed by
-    gcd(|m|, q): that key would assume the theorem the direct route is
-    there to check.
-
-    Args:
-        q: modulus, 1 <= q <= 10**6 (float-path cap).
-        ms: integers of any size.
-
-    Raises:
-        CapacityError: q beyond the float-path cap.
-        PrecisionError: imaginary part or rounding residual >= 1e-6, naming
-            the first such m in ms.
-    """
-    _require_direct_modulus(q)
-    residues = np.remainder(np.asarray(ms), q).astype(np.int64)
-    seen = np.zeros(q, dtype=bool)
-    seen[residues] = True
-    keys = np.flatnonzero(seen)
-    totals = _direct_totals(q, keys)[np.searchsorted(keys, residues)]
-    return _rounded(totals, lambda i: f"c_{q}({ms[i]})")
-
-
 def direct_cells(q: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """c_q(m) at each cell (q[i], ms[i]) by literal complex summation, as int64.
 
     Each run of consecutive cells with one modulus is one _direct_totals
-    call at its residues ms % q, rounded by the rule of direct_values.  A
+    call at its residues ms % q, rounded as ramanujan_direct rounds.  A
     residue is summed as often as it occurs in its run, so a caller passes
     each residue of a modulus once.
 
@@ -234,7 +207,11 @@ def _rounded(totals: np.ndarray, case: Callable[[int], str]) -> np.ndarray:
 
 
 def ramanujan_direct(q: int, m: int) -> int:
-    """c_q(m) by literal complex summation: direct_values at the one m.
+    """c_q(m) by literal complex summation.
+
+    The sum reads m only through r = m % q, since a*m % q == a*r % q, so
+    it is _direct_totals at r.  Not keyed by gcd(|m|, q): that key would
+    assume the theorem the direct route is there to check.
 
     Args:
         q: modulus, 1 <= q <= 10**6 (float-path cap).
@@ -247,7 +224,8 @@ def ramanujan_direct(q: int, m: int) -> int:
         CapacityError: q beyond the float-path cap.
         PrecisionError: imaginary part or rounding residual >= 1e-6.
     """
-    return int(direct_values(q, [m])[0])
+    _require_direct_modulus(q)
+    return int(_rounded(_direct_totals(q, np.array([m % q])), lambda i: f"c_{q}({m})")[0])
 
 
 def ramanujan_closed(q: int, m: int) -> int:

@@ -1,13 +1,17 @@
-"""Segmented sieves over the values q*n + a and q*n^2 + a of n.
+"""Segmented sieves over n, q*n + a and q*n^2 + a.
 
-One engine, _sieve, factors a whole segment of values at once instead of one
-value at a time (the segmented sieve of Bays and Hudson, BIT 17, 1977).
-Each sieving prime comes with its roots, the indices of the values it
-divides, and a root hits every p-th value after its first.  The hits of a
-prime shorter than a segment are expanded as strides; a longer prime hits a
-segment at most once and is found by one comparison.  Every hit is checked
-to divide its value.  Two kinds of values feed it:
+One engine, _sieve, sieves a whole segment of values at once instead of
+factoring one value at a time (the segmented sieve of Bays and Hudson, BIT
+17, 1977).
+Each sieving divisor, a prime or a prime square, comes with its roots, the
+indices of the values it divides, and a root hits every p-th value after
+its first.  The hits of a divisor shorter than a segment are expanded as
+strides; a longer one hits a segment at most once and is found by one
+comparison of its root, carried from segment to segment.  Every hit is
+checked to divide its value.  Three kinds of values feed it:
 
+    n = 1, 2, ...: each prime square p*p <= limit divides n from its
+        first multiple, index p*p - 1, on.
     q*n + a over odd n: each prime has one root,
         n = -a/q (mod p).  The sieving primes stop at the number of values
         in a segment, not at the square root of the largest value, so a
@@ -20,16 +24,19 @@ to divide its value.  Two kinds of values feed it:
         and Tonelli-Shanks finds them, a whole arith.prime_blocks block at
         a time, with no inverse of q mod p.
 
-Every value lies in [0, 2**64), so both kinds are computed in uint64, with
-q n^2 + a taken mod 2**64, which is exact there; the hits' primes are uint64
-too, so nothing is promoted to float.
+Every value lies in [0, 2**64), so all three kinds are computed in uint64,
+with q n^2 + a taken mod 2**64, which is exact there; the hits' divisors
+are uint64 too, so nothing is promoted to float.
 
-One reader sits on the engine, and each route keeps its per-value oracle in
-the tests.  _prime_powers reads a value with exactly one sieved prime as
-that prime's power when dividing it out leaves 1, a value with none as
-prime below (bound + 1)**2, bound the reach of the sieving primes, and by
-arith.prime_power_base above it, and any other value as no prime power.
-It serves
+Two readers sit on the engine, and each route keeps its per-value oracle in
+the tests.  square_flags(limit), whether each n <= limit is a perfect
+square, divides each prime square out of its hits for as long as it
+divides them; n is a square when what is left, its squarefree kernel, is 1
+(per value: indicator.square_char_liouville).  _prime_powers reads a value
+with exactly one sieved prime as that prime's power when dividing it out
+leaves 1, a value with none as prime below (bound + 1)**2, bound the reach
+of the sieving primes, and by arith.prime_power_base above it, and any
+other value as no prime power.  It serves
 
     linear_lambda(spec, x): Lambda(q n + a) for odd n <= x
         (per value: poly.lambda_weight)
@@ -37,12 +44,6 @@ It serves
         with f(n) = q n^2 + a = p**k, read by asymptotics.psi2_count and
         compare_asymptotic (per value: asymptotics._per_value_hits, which
         they keep for short scans)
-
-square_flags(limit), whether each n <= limit is a perfect square, does
-not factor n and does not use the engine: _hits expands the multiples of
-each prime square p*p <= limit in a segment of n, p*p is divided out of
-them for as long as it divides them, and n is a square when what is left,
-its squarefree kernel, is 1 (per value: indicator.square_char_liouville).
 """
 from __future__ import annotations
 
@@ -61,42 +62,25 @@ from .poly import PolynomialSpec
 SEGMENT_LENGTH = 1 << 16
 
 # (k0, values, pos, prime) for one segment of _sieve: values (uint64) of the
-# indices k0, k0 + 1, ...; each hit at values[pos] by prime (uint64).
+# indices k0, k0 + 1, ...; each hit at values[pos] by prime (uint64), a
+# sieving prime or prime square.
 Hits = tuple[int, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _hits(values: np.ndarray, first: np.ndarray, primes: np.ndarray,
-          first_once: np.ndarray, primes_once: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, prime) for every hit on a segment of values: the root at index
-    first[i] of primes[i] hits first[i], first[i] + primes[i], ... < values.size,
-    and that of primes_once[i] only first_once[i].  prime is uint64.  The
-    primes may be prime squares, as square_flags expands them.
-
-    Raises ArithmeticError if a hit's prime does not divide its value.
-    """
-    hits = np.maximum((values.size - 1 - first) // primes + 1, 0)
-    pos = np.repeat(first, hits)
-    prime = np.repeat(primes, hits)
-    pos += prime * (np.arange(pos.size) - np.repeat(np.cumsum(hits) - hits, hits))
-    pos = np.concatenate((pos, first_once))
-    prime = np.concatenate((prime, primes_once), dtype=np.uint64, casting="unsafe")
-    if np.any(values[pos] % prime):
-        raise ArithmeticError("sieve root misses its prime")
-    return pos, prime
 
 
 def _sieve(values_at: Callable[[int, int], np.ndarray], count: int, length: int,
            p: np.ndarray, first: np.ndarray) -> Iterator[Hits]:
     """The hits of the int64 roots (p, first) on the values of the indices
     0 .. count - 1, length at a time: values_at(k0, size) gives those of
-    k0 .. k0 + size - 1 as uint64, and p[i] divides the value at first[i]
-    and at every p[i]-th index after it (0 <= first[i] < p[i]).
+    k0 .. k0 + size - 1 as uint64, and p[i], a prime or a prime square,
+    divides the value at first[i] and at every p[i]-th index after it
+    (0 <= first[i] < p[i]).
 
-    A prime shorter than a segment has its hits expanded; a longer one hits
-    a segment at most once, found by one comparison.  Raises
-    ArithmeticError in the first segment where a hit's prime does not
-    divide its value.  The hits are yielded and not kept, so a reader that
-    drops them frees them before the next segment's are expanded.
+    A p shorter than a segment has its hits expanded; a longer one hits a
+    segment at most once, found by one comparison, and its root is carried
+    to the next segment.  Raises ArithmeticError in the first segment where
+    a hit's p does not divide its value.  The engine drops a segment's
+    values when it resumes and its hits as the next segment's are
+    expanded, so a reader that drops them too frees them by then.
     """
     short = p < length
     p_short, first_short = p[short], first[short]
@@ -105,8 +89,21 @@ def _sieve(values_at: Callable[[int, int], np.ndarray], count: int, length: int,
     for k0 in range(0, count, length):
         size = min(length, count - k0)
         values = values_at(k0, size)
+        hits = np.maximum((size - 1 - first_short) // p_short + 1, 0)
+        pos = np.repeat(first_short, hits)
+        prime = np.repeat(p_short, hits)
+        pos += prime * (np.arange(pos.size) - np.repeat(np.cumsum(hits) - hits, hits))
         once = np.flatnonzero(first_long < size)
-        yield (k0, values, *_hits(values, first_short, p_short, first_long[once], p_long[once]))
+        pos = np.concatenate((pos, first_long[once]))
+        prime = np.concatenate((prime, p_long[once]), dtype=np.uint64, casting="unsafe")
+        if np.any(values[pos] % prime):
+            raise ArithmeticError("sieve root misses its prime")
+        yield k0, values, pos, prime
+        # The values go now, for the next segment's to take their place, and
+        # the hits as the next segment's are made: freeing a whole segment at
+        # once lets the heap be trimmed and faulted in again each segment
+        # (verify_liouville(1e7): 59k minor faults that way, 0.9k this way).
+        del values
         first_short = (first_short - length) % p_short
         first_long -= length  # every segment but the last has size == length
         first_long[once] += p_long[once]
@@ -143,7 +140,7 @@ def _prime_powers(segments: Iterator[Hits], prime_top: np.uint64
         distinct = np.bincount(pos, minlength=values.size)
         base = values.copy()
         base[pos] = prime
-        del pos, prime  # free before the next segment's hits are expanded
+        del pos, prime  # free as the next segment's hits are expanded
         exponent = np.zeros(values.size, dtype=np.int64)
 
         one = np.flatnonzero(distinct == 1)
@@ -218,18 +215,22 @@ def _one_segment_lambda(q: int, a: int, x: int) -> tuple[np.ndarray, np.ndarray]
 def square_flags(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     """(start, flags) per segment of n = 1..limit: flags[i] says whether
     n = start + i is a perfect square, read as "every prime exponent of n is
-    even": dividing out each prime square p*p <= limit while it divides n
-    leaves n's squarefree kernel, which is 1 exactly when n is a square."""
+    even": each prime square p*p <= limit sieves n from its first multiple,
+    index p*p - 1, and is divided out of its hits while it divides them,
+    which leaves n's squarefree kernel, 1 exactly when n is a square."""
     squares = np.array(arith.primes_up_to(math.isqrt(limit)), dtype=np.int64) ** 2
-    none = np.zeros(0, dtype=np.int64)
-    for start in range(1, limit + 1, SEGMENT_LENGTH):
-        kernel = np.arange(start, min(start + SEGMENT_LENGTH, limit + 1), dtype=np.uint64)
-        pos, square = _hits(kernel, -start % squares, squares, none, none)
+
+    def values_at(k0: int, size: int) -> np.ndarray:
+        return np.arange(k0 + 1, k0 + size + 1, dtype=np.uint64)
+
+    for k0, kernel, pos, square in _sieve(values_at, limit, SEGMENT_LENGTH, squares, squares - 1):
         while pos.size:
             np.floor_divide.at(kernel, pos, square)
             deeper = kernel[pos] % square == 0
             pos, square = pos[deeper], square[deeper]
-        yield start, kernel == 1
+        flags = kernel == 1
+        del kernel  # free before the next segment's values are made
+        yield k0 + 1, flags
 
 
 # Odd n per segment of q*n^2 + a.  At x = 1e10 (4n^2 + 1) a segment's arrays

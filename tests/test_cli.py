@@ -240,6 +240,14 @@ def test_verify_runs_where_q_plus_a_is_below_one(capsys, suite, expected_code):
     assert json.loads(out)["result"]["cases_run"] == 2
 
 
+@pytest.mark.parametrize("c", ("inf", "nan", "1000000", "100"))
+def test_inflated_c_past_the_64_bit_primes_exits_two(capsys, c):
+    code, out, err = _run(
+        capsys, ["verify", "parity", "--x", "16", "--regime", "inflated", "--c", c])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no prime at or above") and "x=16, c=" in err, err
+
+
 def test_verify_requires_complete_config(capsys):
     code, out, err = _run(capsys, ["verify", "identity", "--q", "4"])
     assert code == 2

@@ -65,6 +65,20 @@ def test_make_context():
         identity.make_context(16, "inflated", 0.0)
 
 
+@pytest.mark.parametrize("c", (math.inf, math.nan, 1e6, 100.0, 25.0))
+def test_make_context_refuses_a_c_past_the_64_bit_primes(c):
+    # inf and NaN have no target, 1e6 overflows the float, and at x = 16
+    # the target e^(c sqrt(ln 16)) * 16 passes the largest 64-bit prime
+    # between c = 24.97 and 25.
+    with pytest.raises(ValueError, match=rf"64-bit range for x=16, c={c}$"):
+        identity.make_context(16, "inflated", c)
+
+
+def test_make_context_takes_the_widest_c_below_the_64_bit_primes():
+    ctx = identity.make_context(16, "inflated", 24.97)
+    assert ctx.x == 16 and 2**63 < ctx.p <= arith.LARGEST_U64_PRIME
+
+
 def test_lhs_frozen_values():
     spec = identity.check_admissible(4, 1)
     value, records = identity.lhs_quadratic_psi(spec, 16)

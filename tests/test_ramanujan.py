@@ -73,6 +73,7 @@ def test_multiplicative_in_q():
 def test_memo_keys(cold_ramanujan_memos, monkeypatch):
     # The direct route reads m through the residue m % q alone: 1 and 5
     # share gcd(m, 12) = 1 but are two residues, and 13 is the residue of 1.
+    # direct_cells sums the residues of one modulus in one call.
     summed = []
     real_totals = ramanujan._direct_totals
 
@@ -81,7 +82,7 @@ def test_memo_keys(cold_ramanujan_memos, monkeypatch):
         return real_totals(q, residues)
 
     monkeypatch.setattr(ramanujan, "_direct_totals", spy)
-    assert ramanujan.direct_values(12, [1, 5, 13]).tolist() == [0, 0, 0]
+    assert ramanujan.direct_cells(np.full(2, 12), np.array([1, 5])).tolist() == [0, 0]
     assert ramanujan.ramanujan_direct(12, 13) == 0
     assert summed == [(12, [1, 5]), (12, [1])]
     # The closed form and the divisor sum are keyed by gcd(|m|, q).
@@ -117,7 +118,7 @@ def test_direct_values_match_literal_loop(monkeypatch, block):
         for route in (ramanujan._dft_totals, ramanujan._gathered_totals):
             totals = route(q, np.arange(q))
             assert np.abs(totals - expected).max() < 1e-9, (route.__name__, q)
-        values = ramanujan.direct_values(q, range(q))
+        values = ramanujan.direct_cells(np.full(q, q), np.arange(q))
         assert values.tolist() == [round(total.real) for total in expected], q
 
 
@@ -144,7 +145,7 @@ def test_direct_totals_choose_their_route_from_the_input(monkeypatch):
 def test_direct_values_read_any_integer_through_its_residue():
     ms = [-1, 0, 7, 10**30 + 1, -(10**30), 2**63 + 3]
     for q in (1, 7, 12):
-        assert ramanujan.direct_values(q, ms).tolist() == [
+        assert [ramanujan.ramanujan_direct(q, m) for m in ms] == [
             ramanujan.ramanujan_closed(q, m) for m in ms], q
 
 
@@ -153,7 +154,7 @@ def test_direct_cells_equal_direct_values_run_by_run():
     # first run of 12 straddles 0, and the run of 5 is at m = ±10**12.
     q = np.repeat(np.array([1, 7, 12, 5, 12], dtype=np.int64), [1, 7, 3, 2, 12])
     ms = np.array([-4, *range(-3, 4), -1, 0, 1, 10**12, -10**12, *range(12)], dtype=np.int64)
-    expected = [ramanujan.direct_values(int(qi), [int(m)])[0] for qi, m in zip(q, ms)]
+    expected = [ramanujan.ramanujan_direct(int(qi), int(m)) for qi, m in zip(q, ms)]
     values = ramanujan.direct_cells(q, ms)
     assert values.dtype == np.int64 and values.tolist() == expected
     with pytest.raises(CapacityError):
@@ -173,6 +174,19 @@ def test_direct_cells_name_the_first_imprecise_cell(monkeypatch):
     q = np.array([3, 3, 5, 5, 5], dtype=np.int64)
     with pytest.raises(PrecisionError, match=r"^c_5\(-3\) residual 1\.000e-03 >= 1e-6$"):
         ramanujan.direct_cells(q, np.array([1, 2, -4, -3, 2], dtype=np.int64))
+
+
+def test_ramanujan_direct_refusals_name_their_input(monkeypatch):
+    # q = 0 is refused before m % q is taken, and an imprecise sum names
+    # the m it was asked for, not its residue.
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        ramanujan.ramanujan_direct(0, 5)
+    real_totals = ramanujan._direct_totals
+    monkeypatch.setattr(ramanujan, "_direct_totals",
+                        lambda q, residues: real_totals(q, residues) + 1e-3j)
+    m = 10**30 + 2
+    with pytest.raises(PrecisionError, match=rf"^c_5\({m}\) residual 1\.000e-03 >= 1e-6$"):
+        ramanujan.ramanujan_direct(5, m)
 
 
 @pytest.mark.parametrize("q", (999983, 10**6))

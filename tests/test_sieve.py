@@ -10,6 +10,7 @@ once.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import tracemalloc
 
@@ -434,28 +435,59 @@ def test_corrupted_root_raises_at_its_first_hit(monkeypatch):
     assert seen == oracle
 
 
-def test_sieve_values_and_primes_are_uint64(monkeypatch):
+@pytest.fixture
+def engine_segments(monkeypatch) -> list[list[tuple]]:
+    """Per call of sieve._sieve in the test, the (values, pos, prime) of each
+    segment it yields."""
+    calls: list[list[tuple]] = []
+    real = sieve._sieve
+
+    def spy(*args):
+        calls.append([])
+        for k0, values, pos, prime in real(*args):
+            calls[-1].append((values, pos, prime))
+            yield k0, values, pos, prime
+
+    monkeypatch.setattr(sieve, "_sieve", spy)
+    return calls
+
+
+def test_sieve_values_and_primes_are_uint64(engine_segments):
     # uint64 mixed with int64 becomes float64, which loses bits past 2**53,
     # under numpy 1.24's promotion rules as under numpy 2's.
-    seen = []
-    real = sieve._hits
-
-    def spy(values, *args):
-        pos, prime = real(values, *args)
-        seen.append((values.dtype, prime.dtype))
-        return pos, prime
-
-    monkeypatch.setattr(sieve, "_hits", spy)
     sieve._one_segment_lambda.cache_clear()
     uint64 = np.dtype(np.uint64)
     q = I64_MAX // 5000**2 - 1
     for run in (lambda: sieve.linear_lambda(poly.check_admissible(4, 1), 10**4),
                 lambda: sieve.square_flags(10**4),
                 lambda: sieve.prime_power_values(poly.check_admissible(q, 2), 5001)):
-        seen.clear()
+        engine_segments.clear()
         assert list(run())
-        assert seen and set(seen) == {(uint64, uint64)}
+        seen = {(values.dtype, prime.dtype) for call in engine_segments for values, _, prime in call}
+        assert seen == {(uint64, uint64)}
     sieve._one_segment_lambda.cache_clear()
+
+
+def test_square_flags_read_the_engine(engine_segments):
+    # One engine call for the whole range, whose hits are the multiples of
+    # the prime squares up to 10**4: 25 of them, 4,492 hits in one segment.
+    assert _square_flags(10**4) == _square_oracle(10**4)
+    assert len(engine_segments) == 1 and len(engine_segments[0]) == 1
+    _, pos, prime = engine_segments[0][0]
+    squares = [p * p for p in arith.primes_up_to(100)]
+    assert sorted(zip(prime.tolist(), pos.tolist())) == [
+        (s, n - 1) for s in squares for n in range(s, 10**4 + 1, s)]
+
+
+def test_square_flags_far_from_the_start():
+    # At 4e10 the prime squares p*p <= limit number 17,984, and all but the
+    # 54 below 2**16 are longer than a segment; the first two segments are
+    # checked against the squares from math.isqrt.
+    segments = list(itertools.islice(sieve.square_flags(4 * 10**10), 2))
+    assert [start for start, _ in segments] == [1, sieve.SEGMENT_LENGTH + 1]
+    for start, flags in segments:
+        expected = [math.isqrt(n) ** 2 == n for n in range(start, start + sieve.SEGMENT_LENGTH)]
+        assert flags.tolist() == expected
 
 
 def _traced_peak(run) -> int:
@@ -471,8 +503,10 @@ def test_sieve_routes_keep_their_memory():
     # Traced peaks: 8.57 MB for verify_liouville(1e5) and 1.49 MB for psi2 at
     # 1e10 before the two engines were merged, 6.56 and 1.49 MB after, and
     # 8.59 and 1.69 MB when no reader drops a segment's hits before the next
-    # segment's are expanded.  square_flags by squarefree kernel, off the
-    # engine, peaks at 1.71 MB.
+    # segment's are expanded.  square_flags by squarefree kernel peaks at
+    # 1.71 MB, on the engine as off it, and psi2 at 1.47 MB; at limit 1e7
+    # square_flags peaks at 1.79 MB, and at 2.31 MB if it keeps its kernel
+    # across the yield.
     liouville = _traced_peak(lambda: verification.verify_liouville(10**5))
     assert liouville < 3 * 10**6, liouville
     psi2 = _traced_peak(lambda: asymptotics.psi2_count(poly.check_admissible(4, 1), 10**10))
