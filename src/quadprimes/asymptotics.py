@@ -41,9 +41,11 @@ COUNT_N_MAX = 10**8
 # 4n^2 + 1, 79.2 s and 128 MB peak RSS at x = 1e15, and 200 s and 129 MB at
 # the cap, on a 2-core VM.
 PSI2_X_MAX = 3 * 10**15
-# A comparison table has at most min(steps, x_max) rows.  compare --output
-# json took about 1 KB of peak RSS and 25 us per row (242 MB and 5.6 s for
-# 209,964 rows at x_max = 1e12), so at the cap memory binds: about 1 GB.
+# Largest steps of a comparison table: its schedule evaluates the power
+# once per step, at most 0.2-0.3 s at the cap, and keeps at most steps rows.
+# compare --output json took about 1 KB of peak RSS and 25 us per row (242
+# MB and 5.6 s for 209,964 rows at x_max = 1e12), so at the cap memory
+# binds: about 1 GB.
 COMPARE_ROWS_MAX = 10**6
 
 # Scans of fewer odd n test each value instead of sieving: below about this
@@ -300,55 +302,12 @@ def bateman_horn_constant(
 
 def _schedule(x_max: int, steps: int) -> list[int]:
     """The rows of a comparison table: each new value of round(x_max ** (i /
-    steps)), i = 1 .. steps, in order, the last one set to x_max.
-
-    Values repeat in runs when steps is large against ln x_max, and the
-    loop jumps over each run instead of taking every i.  After a value v,
-    x_max ** (i / steps) reaches v + 1/2, the least that can round above
-    v, no earlier than i = steps ln(v + 1/2) / ln x_max.  The estimate and
-    the power are each within a few ulps, at most steps * 2**-47 in i, so a
-    margin of 2 + steps * 2**-40 below it is still inside the run.  At a
-    repeat of v the loop takes the next i, or, if the margin's point lies
-    further on, jumps there and takes the literal formula at strides 1, 2,
-    4, ... until a value passes v, and finds the first such i by
-    bisection, which reads the power as nondecreasing in i, as a
-    correctly rounded pow is.  Below steps = 2**40 the margin is 2, and
-    the run ends within the first stride or two.
-    """
-    if x_max == 1:
-        return [1]
-    log_max = math.log(x_max)
-    margin = 2 + (steps >> 40)
-
-    def row(i: int) -> int:
-        return round(x_max ** (i / steps))
-
-    xs = [row(1)]
-    below = 1  # row(below) <= xs[-1] throughout
-    while below < steps:
-        below += 1
-        x = row(below)
-        last = xs[-1]
-        if x > last:
+    steps)), i = 1 .. steps, in order, the last one set to x_max."""
+    xs: list[int] = []
+    for i in range(1, steps + 1):
+        x = round(x_max ** (i / steps))
+        if not xs or x > xs[-1]:
             xs.append(x)
-            continue
-        jump = math.floor(steps * math.log(last + 0.5) / log_max) - margin
-        if jump <= below + 1:
-            continue
-        stride, below, above = 1, jump, jump + 1
-        while above <= steps and row(above) <= last:
-            below, stride = above, 2 * stride
-            above = below + stride
-        above = min(above, steps + 1)
-        while above - below > 1:
-            middle = (below + above) // 2
-            if row(middle) <= last:
-                below = middle
-            else:
-                above = middle
-        if above <= steps:
-            xs.append(row(above))
-        below = above
     xs[-1] = x_max
     return xs
 
@@ -365,18 +324,17 @@ def compare_asymptotic(
     convention that matches the stated numeric value for t^2 + 1.  The odd
     n up to sqrt(x_max) are scanned once, and one exact tally is read at
     each row's sqrt(x), so each row's psi2 is psi2_count(spec, x)'s bit for
-    bit and the table costs the scan plus the rows.  An x_max above
-    PSI2_X_MAX, or min(steps, x_max) above COMPARE_ROWS_MAX, is refused with
-    CapacityError before any work.
+    bit and the table costs the scan plus the rows.  The rows are _schedule's,
+    one power per step.  An x_max above PSI2_X_MAX, or steps above
+    COMPARE_ROWS_MAX, is refused with CapacityError before any work.
     """
     require_admissible(spec, x_max, "x_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if x_max > PSI2_X_MAX:
         raise CapacityError(f"x_max capped at {PSI2_X_MAX}")
-    rows_max = min(steps, x_max)
-    if rows_max > COMPARE_ROWS_MAX:
-        raise CapacityError(f"rows capped at {COMPARE_ROWS_MAX}: min(steps, x_max) = {rows_max}")
+    if steps > COMPARE_ROWS_MAX:
+        raise CapacityError(f"rows capped at {COMPARE_ROWS_MAX}: steps = {steps}")
 
     constant = bateman_horn_constant(spec, cutoff, "hl").estimate
     xs = _schedule(x_max, steps)

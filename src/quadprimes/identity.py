@@ -59,7 +59,7 @@ def make_context(x: int, regime: str = "minimal", c: float = 1.0) -> ramanujan.M
         if target > arith.LARGEST_U64_PRIME:
             raise ValueError(f"no prime at or above x * e^(c sqrt(ln x)) within the 64-bit "
                              f"range for x={x}, c={c}")
-        p = target if arith.is_prime(target) else arith.next_prime_above(target)
+        p = arith.next_prime_above(target - 1)
     return ramanujan.ModulusContext(x=x, p=p)
 
 

@@ -51,8 +51,10 @@ from .errors import CapacityError, LemmaCounterexample, PrecisionError
 
 DIRECT_Q_CAP = 10**6
 
-# Entries per closed-form or divisor-sum memo: a sweep over m for one q needs
-# one entry per divisor of q.
+# Entries per closed-form or divisor-sum memo.  Their readers repeat a few
+# (q, gcd) keys many times: shift_sums's c_N(0), c_N(1) and c_N(2),
+# verify_parity's c_N(1) and c_N(2), the per-term parity oracle
+# (parity_value, one call per shift) and the CLI's ramanujan command.
 _MEMO_SIZE = 1 << 12
 # Terms per block of the gathered direct sum, so no block grows with q.
 _DIRECT_BLOCK = 1 << 16

@@ -19,13 +19,13 @@ from .errors import CapacityError, LemmaCounterexample
 # Shared identity-check grid: every admissible pair crossed with every x.
 IDENTITY_PAIRS = ((4, 1), (2, 1), (3, 2), (5, 2), (8, 3))
 IDENTITY_X_VALUES = (16, 36, 100, 144)
-# Bound on verify_ramanujan's sweep, q_max (q_max + 1) / 2 * (2 m_max + 1):
-# the size of the literal sums' (q, a, m) grid.  The sweep checks each class
-# (q, m mod q) once, min(q, 2 m_max + 1) of them per q with one transform or
-# gather per q, in blocks of bounded memory.  So once 2 m_max + 1 > q_max a
-# passing sweep does no more work as m_max grows, and the cap bounds the
-# grid, not the work: at q_max = 1 it admits m_max = 499,999,999, under 1 ms.
-DIRECT_WORK_CAP = 10**9
+# Bound on verify_ramanujan's work, q_max (q_max + 1) / 2: the terms of one
+# length-q direct pass, a transform or a gather, per modulus.  The sweep
+# checks each class (q, m mod q) once, at most q of them per q whatever
+# m_max is, in blocks of bounded memory.  On a 2-core VM the slowest
+# admitted sweep, (19,999, m_max >= q_max / 2), took 60 s with 35 MB max
+# RSS, and (19,999, 0) 17.9 s; q_max = 20,000 is the first refused.
+DIRECT_WORK_CAP = 2 * 10**8
 # Cells, one per class (q, m mod q), of one block of moduli in verify_ramanujan.
 _CLASS_BLOCK = 1 << 14
 # Counterexample rows verify_parity and verify_char may build, counted on the
@@ -41,9 +41,10 @@ ROWS_MAX = 10**6
 # the cap is about one minute, so that verify identity --x 1000000000, about
 # two minutes of work, is refused.
 IDENTITY_X_MAX = 5 * 10**8
-# Largest limit of verify_liouville: 28-33 ns per n over runs to 1e8 and 1e9
-# on a 2-core VM, 35 ns on segments at 1e10 (more prime squares per segment),
-# so about six minutes at the cap, near ten when the host runs slow.
+# Largest limit of verify_liouville: 1.26-1.32 s at 1e8 on a 2-core VM, 13 ns
+# per n or 0.83-0.86 ms per segment of 65,536 n, with 32 MB max RSS.  The
+# rate per segment is flat in the limit (0.8-0.96 ms from 1e8 to 4e10), so
+# about two minutes at the cap, near three when the host runs slow.
 LIOUVILLE_LIMIT_MAX = 10**10
 
 
@@ -154,18 +155,20 @@ def verify_ramanujan(q_max: int = 300, m_max: int = 300) -> VerificationReport:
     gcd(m mod q, q).  So each q checks its first min(q, 2 m_max + 1) m, one
     per class, and a failing class is a row at every m of it.  The moduli go
     in blocks of about _CLASS_BLOCK cells, and mu and phi come from one
-    table on 0..q_max, so memory stays bounded at any m_max.  A sweep whose
-    literal grid exceeds DIRECT_WORK_CAP is refused before any work.
+    table on 0..q_max, so memory stays bounded at any m_max.  A sweep of
+    more than DIRECT_WORK_CAP terms, q_max (q_max + 1) / 2, or of a width
+    2 m_max + 1 past int64, is refused with CapacityError before any work.
     """
     if q_max < 1 or m_max < 0:
         raise ValueError("q_max must be >= 1 and m_max >= 0")
-    work = q_max * (q_max + 1) // 2 * (2 * m_max + 1)
-    if work > DIRECT_WORK_CAP:  # from q_max = 44,721 on, far below ramanujan.DIRECT_Q_CAP
-        raise CapacityError(f"direct sums capped at q_max <= {ramanujan.DIRECT_Q_CAP} and "
-                            f"{DIRECT_WORK_CAP} terms; this sweep needs {work}")
+    work, width = q_max * (q_max + 1) // 2, 2 * m_max + 1
+    # The work cap refuses q_max from 20,000 on, far below ramanujan.DIRECT_Q_CAP.
+    if work > DIRECT_WORK_CAP or width > np.iinfo(np.int64).max:
+        raise CapacityError(f"direct sums capped at {DIRECT_WORK_CAP} terms, q_max (q_max + 1) "
+                            f"/ 2, and an int64 width 2 m_max + 1; this sweep needs {work} "
+                            f"terms and width {width}")
 
     mu, phi = arith.mobius_phi_tables(q_max)
-    width = 2 * m_max + 1
     rows: list[Counterexample] = []
     lo = 1
     while lo <= q_max:

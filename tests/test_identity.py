@@ -57,6 +57,8 @@ def test_make_context():
     assert identity.make_context(100).p == 101
     inflated = identity.make_context(16, "inflated", 1.0)
     assert inflated.p == 89 and inflated.N == 178
+    # A prime target is p itself: ceil(16 e^(0.5 sqrt(ln 16))) = 37.
+    assert identity.make_context(16, "inflated", 0.5).p == 37
     with pytest.raises(ValueError):
         identity.make_context(3)
     with pytest.raises(ValueError):

@@ -42,11 +42,12 @@ def test_ramanujan_suite_refuses_oversized_sweeps_up_front(monkeypatch):
 
     monkeypatch.setattr(arith, "mobius_phi_tables", never)
     monkeypatch.setattr(ramanujan, "_direct_totals", never)
-    with pytest.raises(CapacityError):
-        verification.verify_ramanujan(ramanujan.DIRECT_Q_CAP + 1, 0)
-    # 1000 * 1001 / 2 * 2001 = 1.0e9 terms, just over the work cap.
-    with pytest.raises(CapacityError):
-        verification.verify_ramanujan(1000, 1000)
+    # q_max = 20,000 is the first past the work cap: 200,010,000 terms.
+    assert 19_999 * 20_000 // 2 <= verification.DIRECT_WORK_CAP < 20_000 * 20_001 // 2
+    # 2 m_max + 1 passes int64 from m_max = 2**62 on.
+    for q_max, m_max in ((ramanujan.DIRECT_Q_CAP + 1, 0), (20_000, 0), (1, 2**62), (1, 2**63)):
+        with pytest.raises(CapacityError, match="^direct sums capped"):
+            verification.verify_ramanujan(q_max, m_max)
 
 
 def _per_case_report(q_max: int, m_max: int) -> verification.VerificationReport:
@@ -177,15 +178,13 @@ def test_ramanujan_suite_keeps_the_totient_guard(monkeypatch, cold_ramanujan_mem
     assert str(info.value) == str(expected.value) == "phi(18) not divisible by phi(6)"
 
 
-@pytest.mark.parametrize("q_max, m_max", [(1, 499_999_999), (10, 9_090_908), (1000, 998)])
+@pytest.mark.parametrize("q_max, m_max", [(1, 499_999_999), (10, 9_090_908), (1000, 998),
+                                          (1000, 999), (1, 2**62 - 1), (1000, 2**62 - 1)])
 def test_ramanujan_suite_at_the_cap_runs_in_bounded_memory(q_max, m_max):
-    # Each sweep is within DIRECT_WORK_CAP, and one more m would pass it;
-    # the per-m arrays of a sweep over every m would take 8 GB, 145 MB and
-    # 16 KB.
-    def grid(m_max):
-        return q_max * (q_max + 1) // 2 * (2 * m_max + 1)
-
-    assert grid(m_max) <= verification.DIRECT_WORK_CAP < grid(m_max + 1)
+    # Each sweep is within DIRECT_WORK_CAP, and m_max reaches the int64
+    # edge; a sweep checks at most q classes per q whatever m_max is,
+    # where per-m arrays would take 8 GB at (1, 499,999,999).
+    assert q_max * (q_max + 1) // 2 <= verification.DIRECT_WORK_CAP
     tracemalloc.start()
     try:
         start = time.perf_counter()
