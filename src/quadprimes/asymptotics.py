@@ -22,6 +22,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -181,7 +182,7 @@ def linear_psi_odd(spec: PolynomialSpec, X: int) -> tuple[float, float]:
     progression-density comparison line.
     """
     require_admissible(spec, X, "X")
-    value = math.fsum(lw for _, lw in sieve.linear_lambda(spec, X))
+    value = math.fsum(chain.from_iterable(lw.tolist() for _, lw in sieve.lambda_segments(spec, X)))
     reference = spec.q * X / (2 * arith.euler_phi(spec.q))
     return value, reference
 

@@ -10,12 +10,15 @@ vanish, and a Liouville-weighted error term E0 + E1.
 Every operation here is a measurement.  The exact paths work in integer
 Ramanujan values scaled by shared Lambda weights, so a failed identity is a
 property of the formula and not of float noise; strict modes raise
-LemmaCounterexample with the measured value attached.
+LemmaCounterexample with the measured value attached.  They read the
+Ramanujan values once per class of odd n and the weights as arrays, one
+sieve segment at a time (_class_terms), and give the bits of a loop over n.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -86,15 +89,41 @@ def _checked_phi(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> int:
     return arith.euler_phi(ctx.N)
 
 
-def _shift_coefficients(
-    spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]
-) -> Iterator[tuple[float, int, int]]:
-    # (Lambda(q n + a), full, d) for each odd n <= x with nonzero weight:
-    # full is the sum of w * c_N(t - n) over points and d its diagonal
-    # weight, so full - phi(N) * d drops the t = n terms.
+def _class_terms(spec: PolynomialSpec, ctx: ramanujan.ModulusContext, points: list[tuple[int, int]],
+                 *factors: Callable[[int, int], float]) -> Iterator[list[np.ndarray]]:
+    """Per sieve segment, for each factor f, the terms f(full, d) * Lambda(q n + a)
+    of its weighted odd n, (full, d) = shift_sum(n) of ramanujan.shift_sums.
+
+    By shift_sums' three classes each odd t of the points has its own
+    (full, d) and every other odd n shares one; f makes each class's exact
+    integers one float, in Python.  A term is the IEEE product a loop over n
+    forms, and math.fsum rounds the terms alike in any order and with 0.0s
+    among them.  Where the other n's factor is 0, only the points' n are read.
+    """
     shift_sum = ramanujan.shift_sums(ctx, points)
-    for n, lw in sieve.linear_lambda(spec, ctx.x):
-        yield (lw, *shift_sum(n))
+    odd_ts = {t for _, t in points if t % 2}
+    off = next(n for n in count(1, 2) if n not in odd_ts)
+    off_value = shift_sum(off) if off <= ctx.x else (0, 0)  # else no odd n is off the points
+    t_array = np.array(sorted(odd_ts), dtype=np.int64)
+    values = [shift_sum(t) for t in t_array.tolist()]
+    point_factors = [np.array([f(*value) for value in values]) for f in factors]
+    off_factors = [(i, factor) for i, f in enumerate(factors) if (factor := f(*off_value))]
+    for n, lw in sieve.lambda_segments(spec, ctx.x):
+        at = n.searchsorted(t_array)
+        found = n.searchsorted(t_array, side="right") > at
+        at = at[found]
+        point_lw = lw[at]
+        terms = [factor[found] * point_lw for factor in point_factors]
+        for i, factor in off_factors:
+            term = factor * lw
+            term[at] = terms[i]
+            terms[i] = term
+        yield terms
+
+
+def _fsum(terms: Iterable[np.ndarray]) -> float:
+    """math.fsum of every value of the arrays, read one array at a time."""
+    return math.fsum(chain.from_iterable(term.tolist() for term in terms))
 
 
 def _unit_sums(ctx: ramanujan.ModulusContext, points: list[tuple[int, int]]) -> np.ndarray:
@@ -139,8 +168,7 @@ def rhs_linear_expansion(
     phi_n = _checked_phi(spec, ctx)
     R = ctx.floor_sqrt_x
     points = [(1, s * s) for s in range(1, R + 1)]
-    terms = _shift_coefficients(spec, ctx, points)
-    rhs_exact = math.fsum(full / phi_n * lw for lw, full, _ in terms if full)
+    rhs_exact = _fsum(row for row, in _class_terms(spec, ctx, points, lambda full, d: full / phi_n))
     if ((ctx.x + 1) // 2) * R * phi_n > FLOAT_WORK_CAP or ctx.N > FLOAT_TABLE_CAP:
         return rhs_exact, None
 
@@ -148,13 +176,11 @@ def rhs_linear_expansion(
     # transforms, no shared Ramanujan code.  The work cap keeps x in the
     # sieve segment the exact pass cached.
     F = _unit_sums(ctx, points)
-    weighted = list(sieve.linear_lambda(spec, ctx.x))
-    n = [n for n, _ in weighted]
-    lw = np.array([lw for _, lw in weighted])
-    imag_total = math.fsum(lw * F.imag[n]) / phi_n
+    terms = [(lw * F.imag[n], lw * F.real[n]) for n, lw in sieve.lambda_segments(spec, ctx.x)]
+    imag_total = _fsum(imag for imag, _ in terms) / phi_n
     if abs(imag_total) >= 1e-6:
         raise PrecisionError(f"imaginary residue {imag_total} in float path")
-    return rhs_exact, math.fsum(lw * F.real[n]) / phi_n
+    return rhs_exact, _fsum(real for _, real in terms) / phi_n
 
 
 def main_term_decomposition(
@@ -169,17 +195,13 @@ def main_term_decomposition(
     value is returned.
     """
     phi_n = _checked_phi(spec, ctx)
-    m0_terms: list[float] = []
-    m1_terms: list[float] = []
     window = [(1, s) for s in range(1, ctx.floor_sqrt_x + 1)]
-    for lw, full, d in _shift_coefficients(spec, ctx, window):
-        if d:
-            m0_terms.append(lw)
-        if coeff := full - phi_n * d:
-            m1_terms.append(coeff * lw)
-    M0 = math.fsum(m0_terms)
-    M1 = math.fsum(m1_terms) / phi_n
-    if strict and m1_terms:
+    # Both factors are 0 off the points on an admissible spec: R / 2 terms kept.
+    segments = list(_class_terms(spec, ctx, window, lambda full, d: float(d != 0),
+                                 lambda full, d: float(full - phi_n * d)))
+    M0 = _fsum(m0 for m0, _ in segments)
+    M1 = _fsum(m1 for _, m1 in segments) / phi_n
+    if strict and any(m1.any() for _, m1 in segments):
         raise LemmaCounterexample(
             "main-term-vanishing",
             {"q": spec.q, "a": spec.a, "x": ctx.x, "p": ctx.p},
@@ -187,15 +209,6 @@ def main_term_decomposition(
             M1,
         )
     return M0, M1
-
-
-def dyadic_pairs(R: int) -> list[tuple[int, int, int]]:
-    """All (d, m, d*m) with 1 < d <= R and d*m <= R, ascending d then m."""
-    pairs = []
-    for d in range(2, R + 1):
-        for m in range(1, R // d + 1):
-            pairs.append((d, m, d * m))
-    return pairs
 
 
 def error_term_decomposition(
@@ -212,11 +225,12 @@ def error_term_decomposition(
     phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term decomposition capped at x = {ERROR_TERM_X_CAP}")
-    signed = [(arith.liouville(d), dm) for d, _, dm in dyadic_pairs(ctx.floor_sqrt_x)]
+    R = ctx.floor_sqrt_x
+    liouville = {d: arith.liouville(d) for d in range(2, R + 1)}
+    signed = [(lam, d * m) for d, lam in liouville.items() for m in range(1, R // d + 1)]
     E0 = math.fsum(lam * lambda_weight(spec.q * dm + spec.a) for lam, dm in signed if dm % 2)
-    e1_terms = [coeff * lw for lw, full, d in _shift_coefficients(spec, ctx, signed)
-                if (coeff := full - phi_n * d)]
-    E1 = math.fsum(e1_terms) / phi_n
+    terms = _class_terms(spec, ctx, signed, lambda full, d: float(full - phi_n * d))
+    E1 = _fsum(row for row, in terms) / phi_n
     return E0, E1
 
 
@@ -244,6 +258,5 @@ def error_term_total(spec: PolynomialSpec, ctx: ramanujan.ModulusContext) -> flo
     phi_n = _checked_phi(spec, ctx)
     if ctx.x > ERROR_TERM_X_CAP:
         raise CapacityError(f"error-term total capped at x = {ERROR_TERM_X_CAP}")
-    weighted = divisor_weights(ctx.floor_sqrt_x)
-    terms = [full * lw for lw, full, _ in _shift_coefficients(spec, ctx, weighted) if full]
-    return math.fsum(terms) / phi_n
+    terms = _class_terms(spec, ctx, divisor_weights(ctx.floor_sqrt_x), lambda full, d: float(full))
+    return _fsum(row for row, in terms) / phi_n

@@ -38,8 +38,8 @@ leaves 1, a value with none as prime below (bound + 1)**2, bound the reach
 of the sieving primes, and by arith.prime_power_base above it, and any
 other value as no prime power.  It serves
 
-    linear_lambda(spec, x): Lambda(q n + a) for odd n <= x
-        (per value: poly.lambda_weight)
+    lambda_segments(spec, x): Lambda(q n + a) for odd n <= x, per segment,
+        and linear_lambda(spec, x), its pairs (per value: poly.lambda_weight)
     prime_power_values(spec, n_max): (n, f(n), p, k) for odd n <= n_max
         with f(n) = q n^2 + a = p**k, read by asymptotics.psi2_count and
         compare_asymptotic (per value: asymptotics._per_value_hits, which
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -184,32 +184,34 @@ def _linear(q: int, a: int, x: int) -> tuple[int, np.uint64, Iterator[Hits]]:
     return start, _prime_top(bound), segments
 
 
-def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
-    """(n, Lambda(q n + a)) for each odd n <= x whose value is a prime power,
-    ascending.
-
-    Lambda is math.log of the base prime as a Python int, so its bits equal
-    arith.von_mangoldt's; a value below 2 weighs 0 and is not yielded.  A
-    range of one segment is kept, so the identity suites, which weigh the
-    same progressions, sieve each once.
-    """
+def lambda_segments(spec: PolynomialSpec, x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(n, Lambda) per segment: the odd n <= x whose q n + a is a prime
+    power, ascending, as int64, and Lambda(q n + a) there as float64, the
+    math.log of the base prime as a Python int, bit for bit von_mangoldt's.
+    A range of one segment is kept, read-only, so the identity suites, which
+    weigh the same progressions, sieve each once."""
     if (x + 1) // 2 <= SEGMENT_LENGTH:
-        numbers, weights = _one_segment_lambda(spec.q, spec.a, x)
-        return zip(numbers.tolist(), weights.tolist())
-    return chain.from_iterable(zip(*pair) for pair in _lambda_segments(spec.q, spec.a, x))
+        return iter(_one_segment_lambda(spec.q, spec.a, x))
+    return _lambda_segments(spec.q, spec.a, x)
 
 
-def _lambda_segments(q: int, a: int, x: int) -> Iterator[tuple[list[int], list[float]]]:
+def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
+    """lambda_segments as (n, Lambda(q n + a)) pairs, ascending in n."""
+    return chain.from_iterable(zip(n.tolist(), lw.tolist()) for n, lw in lambda_segments(spec, x))
+
+
+def _lambda_segments(q: int, a: int, x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     start, prime_top, segments = _linear(q, a, x)
     for k0, index, _, base, _ in _prime_powers(segments, prime_top):
-        n0 = start + 2 * k0
-        yield [n0 + 2 * i for i in index.tolist()], [math.log(p) for p in base.tolist()]
+        yield 2 * index + (start + 2 * k0), np.array([math.log(p) for p in base.tolist()])
 
 
 @lru_cache(maxsize=64)
-def _one_segment_lambda(q: int, a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    numbers, weights = next(_lambda_segments(q, a, x), ([], []))
-    return np.array(numbers, dtype=np.int64), np.array(weights, dtype=np.float64)
+def _one_segment_lambda(q: int, a: int, x: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    segments = tuple(islice(_lambda_segments(q, a, x), 1))  # none where no q n + a is at least 1
+    for array in chain.from_iterable(segments):
+        array.setflags(write=False)  # every caller shares it
+    return segments
 
 
 def square_flags(limit: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -36,10 +36,8 @@ _CLASS_BLOCK = 1 << 14
 # 1.3 GB at its bound, x = 4,000,004,000,000.
 ROWS_MAX = 10**6
 # Largest x of the identity, main-term and error-term grids: the exact paths
-# sieve q n + a up to x with one Python step per weighted n, 0.11 to 0.15 us
-# per x at x = 1e6 to 4e7 on a 2-core VM.  Ten minutes would be x near 5e9;
-# the cap is about one minute, so that verify identity --x 1000000000, about
-# two minutes of work, is refused.
+# sieve q n + a up to x, 0.05 to 0.07 us per x at x = 1e6 to 4e7 on a 2-core
+# VM, so about half a minute at the cap and a minute at 1e9, which is refused.
 IDENTITY_X_MAX = 5 * 10**8
 # Largest limit of verify_liouville: 1.26-1.32 s at 1e8 on a 2-core VM, 13 ns
 # per n or 0.83-0.86 ms per segment of 65,536 n, with 32 MB max RSS.  The
@@ -379,7 +377,7 @@ def verify_error_term(
                               "split-reconciliation", total, E0 + E1)
 
             phi_n = arith.euler_phi(ctx.N)
-            pair_count = len(identity.dyadic_pairs(ctx.floor_sqrt_x))
+            pair_count = sum(ctx.floor_sqrt_x // d for d in range(2, ctx.floor_sqrt_x + 1))
             lambda_total, _ = asymptotics.linear_psi_odd(spec, ctx.x)
             bound = pair_count * lambda_total / phi_n
             yield _grid_check(abs(E1) > bound + 1e-12, spec, ctx,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import exact_oracle
 import float_oracle
 from quadprimes import arith, identity, indicator, ramanujan, sieve, verification
 from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
@@ -213,6 +214,16 @@ def test_rhs_exact_path_holds_no_more_than_its_sieve():
     expansion_peak = _traced_peak(lambda: results.append(identity.rhs_linear_expansion(spec, ctx)))
     assert results[0][1] is None
     assert expansion_peak - sieve_peak < 1.5 * 2**20, (expansion_peak, sieve_peak)
+
+
+def test_main_term_holds_no_more_than_its_sieve():
+    # At x = 1e6, eight sieve segments: M0 and M1 come from one pass that
+    # keeps only the point n's terms, at most R / 2 of each.
+    spec = identity.check_admissible(4, 1)
+    ctx = identity.make_context(10**6)
+    sieve_peak = _traced_peak(lambda: deque(sieve.lambda_segments(spec, ctx.x), maxlen=0))
+    main_peak = _traced_peak(lambda: identity.main_term_decomposition(spec, ctx, strict=False))
+    assert main_peak - sieve_peak < 1.5 * 2**20, (main_peak, sieve_peak)
 
 
 def test_rhs_float_is_correctly_rounded_sum_of_every_term():
@@ -538,3 +549,82 @@ def test_exact_paths_keep_their_bits():
         lines.append(f"{q},{a},{x}:" + ",".join(hexes))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest[:16] == "b6f73d7bbac3038d"
+
+
+# The default grid's pairs, two more with q + a > 1 and three with a < 0,
+# whose q n + a is 1 at n = 1.
+ORACLE_PAIRS = verification.IDENTITY_PAIRS + ((2, 3), (6, 1), (2, -1), (4, -3), (6, -5))
+
+
+def _strict_outcome(main_term) -> tuple:
+    try:
+        main_term()
+    except LemmaCounterexample as exc:
+        return exc.check, exc.inputs, exc.expected, exc.actual.hex()
+    return ()
+
+
+def _exact_bits(spec, ctx) -> tuple[list[str], tuple]:
+    rhs_exact, _ = identity.rhs_linear_expansion(spec, ctx)
+    M0, M1 = identity.main_term_decomposition(spec, ctx, strict=False)
+    E0, E1 = identity.error_term_decomposition(spec, ctx)
+    total = identity.error_term_total(spec, ctx)
+    strict = _strict_outcome(lambda: identity.main_term_decomposition(spec, ctx, strict=True))
+    return [v.hex() for v in (rhs_exact, M0, M1, E0, E1, total)], strict
+
+
+def _oracle_bits(spec, ctx) -> tuple[list[str], tuple]:
+    M0, M1 = exact_oracle.main_term(spec, ctx, strict=False)
+    E0, E1 = exact_oracle.error_term(spec, ctx)
+    values = (exact_oracle.rhs_exact(spec, ctx), M0, M1, E0, E1, exact_oracle.error_total(spec, ctx))
+    strict = _strict_outcome(lambda: exact_oracle.main_term(spec, ctx, strict=True))
+    return [v.hex() for v in values], strict
+
+
+def _exact_mismatches(contexts) -> list[tuple[int, int, int, int]]:
+    # (q, a, x, p) of every pair and context where the class sums and the
+    # per-n loop differ in any bit or in how strict M1 raises.
+    return [(q, a, ctx.x, ctx.p) for ctx in contexts for q, a in ORACLE_PAIRS
+            if _exact_bits(spec := identity.check_admissible(q, a), ctx) != _oracle_bits(spec, ctx)]
+
+
+@pytest.mark.parametrize("regime", ["minimal", "inflated"])
+def test_exact_paths_equal_the_per_n_loop(regime):
+    xs = [x for x in range(4, 401) if math.isqrt(x) % 2 == 0]
+    assert _exact_mismatches(identity.make_context(x, regime) for x in xs) == []
+
+
+def test_exact_paths_equal_the_per_n_loop_past_2_53():
+    ctx = identity.make_context(16, "inflated", 21.0)
+    assert ctx.p > 2**53
+    assert _exact_mismatches([ctx]) == []
+
+
+@pytest.mark.parametrize("broken_gcd", [1, 2])
+def test_exact_paths_equal_the_per_n_loop_off_the_points(broken_gcd, monkeypatch,
+                                                         cold_ramanujan_memos):
+    # c_N off by one at gcd 1 or at gcd 2 gives every class of odd n off the
+    # points a nonzero factor, so every weighted n is read; segments of 8
+    # odd n put the points in many segments.
+    closed_value = ramanujan._closed_value
+    monkeypatch.setattr(ramanujan, "_closed_value",
+                        lambda q, d: closed_value(q, d) + (d == broken_gcd))
+    contexts = [identity.make_context(x) for x in (4, 16, 100, 400)]
+    assert _exact_mismatches(contexts) == []
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 8)
+    sieve._one_segment_lambda.cache_clear()
+    try:
+        assert _exact_mismatches(contexts) == []
+    finally:
+        sieve._one_segment_lambda.cache_clear()
+
+
+def test_exact_paths_equal_the_per_n_loop_across_segments(monkeypatch):
+    # Segments of 8 odd n: the points fall in many segments, and the
+    # segments' ends cut between them.
+    monkeypatch.setattr(sieve, "SEGMENT_LENGTH", 8)
+    sieve._one_segment_lambda.cache_clear()
+    try:
+        assert _exact_mismatches(identity.make_context(x) for x in (16, 144, 400, 1024)) == []
+    finally:
+        sieve._one_segment_lambda.cache_clear()

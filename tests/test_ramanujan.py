@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from quadprimes import arith, identity, ramanujan
+from quadprimes import arith, ramanujan
 from quadprimes.errors import CapacityError, LemmaCounterexample, PrecisionError
 
 
@@ -213,7 +213,8 @@ def _caller_points(x: int) -> dict[str, list[tuple[int, int]]]:
     return {
         "squares": [(1, s * s) for s in range(1, R + 1)],
         "window": [(1, s) for s in range(1, R + 1)],
-        "pairs": [(arith.liouville(d), dm) for d, _, dm in identity.dyadic_pairs(R)],
+        "pairs": [(arith.liouville(d), d * m)
+                  for d in range(2, R + 1) for m in range(1, R // d + 1)],
         "divisor weights": [(w, s) for w, s in divisor_weights if w],
     }
 
