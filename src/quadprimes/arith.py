@@ -46,9 +46,12 @@ TRIAL_DIVISION_BOUND = 4096
 
 # Sieve segment length.  Euler products hold about a dozen int64 and float64
 # temporaries per segment's primes, so the segment also bounds their memory:
-# at 2**17 the scale workload's peak stays below the 2**20 sieve's, with no
-# loss of speed at cutoff 1e8.  A class_characters table of character
-# classes is kept to at most this many entries too.
+# at 2**17 the scale workload's peak stays below the 2**20 sieve's.  The odd
+# segments cost speed at large limits: on a 2-core VM, prime_blocks(1e8)
+# took 0.45-0.56 s at 2**17 against 0.17-0.21 s at 2**20, and 4.8-8.3
+# against 4.7-5.9 ms at 3e6 (best of 3-5, three runs each).  A
+# class_characters table of character classes is kept to at most this many
+# entries too.
 SEGMENT_SIZE = 1 << 17
 
 # The largest modulus whose residues multiply exactly in int64:

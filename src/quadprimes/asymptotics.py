@@ -11,8 +11,9 @@ at each n_max asked for: psi2_count and count_primes_poly at one,
 compare_asymptotic at each row's sqrt(x).  Density constants come from
 truncated Euler products over odd primes in two variants that differ in
 their denominator convention; both are computed rather than picking one,
-in one pass over the primes, with the characters (-a q | p) of
-arith.class_characters, which the sieve's roots read too.
+in one pass over the primes memoised per (spec, cutoff), with the
+characters (-a q | p) of arith.class_characters, which the sieve's roots
+read too.
 compare_asymptotic tabulates the measured psi2 against the predicted
 (c_f / 2) * sqrt(x) curve.
 """
@@ -22,6 +23,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -210,11 +212,15 @@ def epsilon_factor(q: int) -> Fraction:
     return Fraction(1, 1) if q % 2 == 0 else Fraction(1, 2)
 
 
+# The conventions of _euler_pass, in the order of its reports.
+_CONVENTIONS = ("hl", "paper")
+
+
 def euler_products(
     spec: PolynomialSpec, cutoff: int, variants: Sequence[str]
 ) -> tuple[EulerProductReport, ...]:
     """Truncated Euler products over odd primes p <= cutoff, one report per
-    convention in variants, from one pass over the primes.
+    convention in variants, read from one memoised pass over the primes.
 
     Two conventions are implemented side by side rather than reconciled:
 
@@ -226,30 +232,47 @@ def euler_products(
     variant is kept as reported data.  The trace samples the partial
     product after each power of ten.
 
-    The primes come in sieve blocks.  Each block's primes, characters,
-    p | q mask and trace positions serve every convention; each convention
-    then builds its own factors, one convention at a time.  chi comes from
-    arith.class_characters, the Legendre symbol the quadratic sieve reads
-    too: by Jacobi reciprocity chi(p) depends only on p mod 4|a q|, so
-    Euler's criterion runs once per class of that period and a table serves
-    the later primes, while 4|a q| <= arith.SEGMENT_SIZE; past that bound,
-    or for a = 0, it runs on every prime.  Each factor is
-    one IEEE operation on exact integers, and np.multiply.accumulate
-    multiplies strictly in sequence, so every partial product equals the
-    prime-by-prime loop's.
+    The cutoff and every variant are checked first, so a refused call
+    computes and memoises nothing.  The pass, _euler_pass, always yields
+    both conventions and is memoised on (spec, cutoff), the last 64 of
+    them, so a second convention, or the same product asked again, costs
+    no sieve.  For t^2 + 1 it checks that every hl factor lies on the side
+    of 1 that p mod 4 says, whichever conventions the caller asked for.
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
     if cutoff > EULER_CUTOFF_MAX:
         raise CapacityError(f"cutoff capped at {EULER_CUTOFF_MAX}")
     for variant in variants:
-        if variant not in ("paper", "hl"):
+        if variant not in _CONVENTIONS:
             raise ValueError(f"unknown variant {variant!r}")
+    reports = _euler_pass(spec, cutoff)
+    return tuple(reports[_CONVENTIONS.index(variant)] for variant in variants)
 
+
+@lru_cache(maxsize=64)
+def _euler_pass(spec: PolynomialSpec, cutoff: int) -> tuple[EulerProductReport, ...]:
+    """Both conventions' reports, in _CONVENTIONS order, from one pass over
+    the odd primes p <= cutoff (see euler_products).
+
+    The primes come in sieve blocks.  Each block's primes, characters,
+    p | q positions and trace positions serve both conventions; each
+    convention then builds its own factors, one convention at a time.  chi
+    comes from arith.class_characters, the Legendre symbol the quadratic
+    sieve reads too: by Jacobi reciprocity chi(p) depends only on p mod
+    4|a q|, so Euler's criterion runs once per class of that period and a
+    table serves the later primes, while 4|a q| <= arith.SEGMENT_SIZE; past
+    that bound, or for a = 0, it runs on every prime.  A p | q has chi(p) =
+    0, so only the primes with chi(p) = 0, the odd prime factors of a q
+    for a != 0, are reduced mod q, exactly for any q.  Each factor is one
+    IEEE operation on exact integers, and np.multiply.accumulate
+    multiplies strictly in sequence, so every partial product equals the
+    prime-by-prime loop's.
+    """
     epsilon = epsilon_factor(spec.q)
     character_of_one = spec.q == 1 and spec.a == 1
-    products = [float(epsilon) if variant == "paper" else 1.0 for variant in variants]
-    traces: list[list[tuple[int, float]]] = [[] for _ in variants]
+    products = [1.0, float(epsilon)]
+    traces: tuple[list[tuple[int, float]], ...] = ([], [])
     marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
     last_prime = 0
     characters = arith.class_characters(-spec.a * spec.q)
@@ -260,19 +283,21 @@ def euler_products(
             continue
         as_float = primes.astype(np.float64)
         chi = characters(primes).astype(np.float64)
-        divides_q = arith.residues(spec.q, primes) == 0
+        zero = np.flatnonzero(chi == 0)
+        divides_q = zero[arith.residues(spec.q, primes[zero]) == 0]
         # The marks this block passes, and how many of its primes precede
         # each: the partial product just before the first prime past it.
         passed = bisect.bisect_left(marks, primes[-1])
         stops = np.searchsorted(primes, marks[:passed], side="right")
         mark_primes = np.where(stops, primes[stops - 1], last_prime).tolist()
         del marks[:passed]
-        for j, variant in enumerate(variants):
+        for j, variant in enumerate(_CONVENTIONS):
             denominator = as_float if variant == "paper" else as_float - 1.0
-            factors = np.where(divides_q, as_float / (as_float - 1.0), 1.0 - chi / denominator)
+            factors = 1.0 - chi / denominator
+            factors[divides_q] = as_float[divides_q] / (as_float[divides_q] - 1.0)
             if character_of_one and variant == "hl":
                 # For t^2 + 1 the factor must straddle 1 according to p mod 4.
-                wrong = np.flatnonzero((factors < 1.0) != (primes % 4 == 1))
+                wrong = np.flatnonzero((factors < 1.0) != ((primes & 3) == 1))
                 if wrong.size:
                     i = wrong[0]
                     raise ArithmeticError(
@@ -289,7 +314,7 @@ def euler_products(
     # all closes every trace.
     return tuple(
         EulerProductReport(spec, variant, cutoff, epsilon, product, (*trace, (last_prime, product)))
-        for variant, product, trace in zip(variants, products, traces)
+        for variant, product, trace in zip(_CONVENTIONS, products, traces)
     )
 
 
@@ -297,7 +322,8 @@ def bateman_horn_constant(
     spec: PolynomialSpec, cutoff: int, variant: str = "hl"
 ) -> EulerProductReport:
     """The truncated Euler product over odd primes p <= cutoff in one
-    convention, "hl" or "paper" (see euler_products)."""
+    convention, "hl" or "paper": euler_products' report, so from its
+    memoised pass, which yields the other convention too."""
     return euler_products(spec, cutoff, (variant,))[0]
 
 

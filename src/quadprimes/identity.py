@@ -228,7 +228,9 @@ def error_term_decomposition(
     R = ctx.floor_sqrt_x
     liouville = {d: arith.liouville(d) for d in range(2, R + 1)}
     signed = [(lam, d * m) for d, lam in liouville.items() for m in range(1, R // d + 1)]
-    E0 = math.fsum(lam * lambda_weight(spec.q * dm + spec.a) for lam, dm in signed if dm % 2)
+    # Every odd dm in signed lies in 3 .. R; each weight is taken once.
+    weights = {dm: lambda_weight(spec.q * dm + spec.a) for dm in range(3, R + 1, 2)}
+    E0 = math.fsum(lam * weights[dm] for lam, dm in signed if dm % 2)
     terms = _class_terms(spec, ctx, signed, lambda full, d: float(full - phi_n * d))
     E1 = _fsum(row for row, in terms) / phi_n
     return E0, E1

@@ -302,23 +302,20 @@ def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, n
     there are two, t and -t with q t^2 = -a, from _square_roots of c = -a q
     with factor -a, so t = r / q for the root r of c and no inverse of q is
     taken; where chi = -1 there are none.  q and a may be any size; bound is
-    at most arith.INT64_PRIME_MAX.  The non-residues' character tables are
-    kept for the whole call.
+    at most arith.INT64_PRIME_MAX.
     """
     characters = arith.class_characters(-a * q)
-    tables: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
     for block in arith.prime_blocks(bound):
         p = block[block > 2]
         q_p, chi = arith.residues(q, p), characters(p)
         zero, split, q_p = p[(chi == 0) & (q_p != 0)], p[chi == 1], q_p[chi == 1]
         minus_a = arith.residues(-a, split)
-        t = _square_roots(minus_a * q_p % split, split, minus_a, tables)
+        t = _square_roots(minus_a * q_p % split, split, minus_a)
         yield (np.concatenate((zero, split, split)),
                np.concatenate((np.zeros_like(zero), t, split - t)))
 
 
-def _square_roots(c: np.ndarray, p: np.ndarray, factor: np.ndarray,
-                  tables: dict[int, Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+def _square_roots(c: np.ndarray, p: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """A t with c t^2 = factor^2 (mod p) for each square 0 < c < p mod an odd
     prime p <= arith.INT64_PRIME_MAX and 0 <= factor < p: t = r factor / c
     for a root r of c, and r itself when factor is c.
@@ -328,7 +325,7 @@ def _square_roots(c: np.ndarray, p: np.ndarray, factor: np.ndarray,
     p = 3 (mod 4), where r is the one power c**((p+1)/4); so t starts as
     c**((Q-1)/2) factor.  u has order 2**i with i < s exactly when c is a
     square; each round multiplies r, and so t, by a power of z**Q, for a
-    non-residue z from _non_residues (tables passed on), so that i falls,
+    non-residue z from _non_residues, so that i falls,
     on the unfinished entries only.  If some c is not a square, or some z
     is, an i stays where it was, and ArithmeticError is raised instead of
     looping.
@@ -344,7 +341,7 @@ def _square_roots(c: np.ndarray, p: np.ndarray, factor: np.ndarray,
     i = _order(ut, pt, m)
     if np.any(i == m):
         raise ArithmeticError("Tonelli-Shanks needs a square")
-    g = arith.power_mod(_non_residues(pt, tables), odd[todo], pt)  # order 2**m
+    g = arith.power_mod(_non_residues(pt), odd[todo], pt)  # order 2**m
     while todo.size:
         b = _square_times(g, m - i - 1, pt)
         tt = tt * b % pt
@@ -384,23 +381,43 @@ def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray
     return x
 
 
-def _non_residues(p: np.ndarray, tables: dict[int, Callable[[np.ndarray], np.ndarray]]
-                  ) -> np.ndarray:
+def _non_residues(p: np.ndarray) -> np.ndarray:
     """A quadratic non-residue mod each odd prime p: the first prime z below
-    256 with (z | p) = -1, read from arith.class_characters on the p still
-    without one, about half of which each z settles.  tables keeps each z's
-    class_characters, added on first use, from one call to the next, so a
-    caller that passes the same dict runs Euler's criterion at most once
-    per class of each z.  Every p the sieve reaches has one; none would
-    raise ArithmeticError.
+    256 with (z | p) = -1, read from _reciprocity_table(z) on the p still
+    without one, about half of which each z settles.  Every p the sieve
+    reaches has one; none would raise ArithmeticError.
     """
     z, need = np.zeros_like(p), np.arange(p.size)
     for candidate in arith.primes_up_to(256):
-        if candidate not in tables:
-            tables[candidate] = arith.class_characters(candidate)
-        hit = tables[candidate](p[need]) == -1
+        left = p[need]
+        classes = left & 7 if candidate == 2 else left % (4 * candidate)
+        hit = _reciprocity_table(candidate)[classes] == -1
         z[need[hit]] = candidate
         need = need[~hit]
         if not need.size:
             return z
     raise ArithmeticError("no prime non-residue below 256")
+
+
+@lru_cache(maxsize=64)
+def _reciprocity_table(z: int) -> np.ndarray:
+    """(z | p) for the odd primes p by p mod 4z, z a prime, as int8.
+
+    For z = 2 it is 1 where p = +-1 (mod 8), else -1.  For an odd z,
+    quadratic reciprocity gives (z | p) = (p | z), 1 where p mod z is a
+    nonzero square, negated where z and p are both 3 (mod 4).  A class
+    sharing a factor with 4z holds no odd prime but z, where it is 0.
+    """
+    c = np.arange(4 * z)
+    if z == 2:
+        table = np.where((c == 1) | (c == 7), 1, -1)
+    else:
+        squares = np.zeros(z, dtype=bool)
+        squares[np.arange(1, z) ** 2 % z] = True
+        table = np.where(squares[c % z], 1, -1)
+        if z & 3 == 3:
+            table = np.where((c & 3) == 3, -table, table)
+    table[np.gcd(c, 4 * z) > 1] = 0
+    table = table.astype(np.int8)
+    table.setflags(write=False)
+    return table

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from quadprimes import ramanujan
+from quadprimes import asymptotics, ramanujan
 
 RAMANUJAN_MEMOS = (ramanujan._closed_value, ramanujan._divisor_value)
 
@@ -20,3 +20,13 @@ def cold_ramanujan_memos():
     yield
     for memo in RAMANUJAN_MEMOS:
         memo.cache_clear()
+
+
+@pytest.fixture
+def cold_euler_memo():
+    """Empty the process-wide memo of Euler-product passes before and after
+    the test, for the same reasons as cold_ramanujan_memos: a test that
+    patches the primes or their characters must see a pass run under it."""
+    asymptotics._euler_pass.cache_clear()
+    yield
+    asymptotics._euler_pass.cache_clear()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadprimes import arith, asymptotics, identity
+from quadprimes import arith, asymptotics, cli, identity
 from quadprimes.errors import CapacityError
 
 try:
@@ -340,7 +341,7 @@ def test_one_pass_equals_one_convention_reports_bitwise(cutoff):
 EULER_PEAK_BOUND = 1_037_010
 
 
-def test_both_conventions_keep_their_memory():
+def test_both_conventions_keep_their_memory(cold_euler_memo):
     spec = _spec(1, 1)
     tracemalloc.start()
     try:
@@ -411,7 +412,7 @@ def test_class_characters_match_euler_criterion_and_jacobi(m, monkeypatch):
         assert sorted(passed) == [p for primes in blocks for p in primes.tolist()], m
 
 
-def test_euler_product_takes_each_class_once(monkeypatch):
+def test_euler_product_takes_each_class_once(monkeypatch, cold_euler_memo):
     real_characters = arith.characters
     counts = []
 
@@ -423,14 +424,14 @@ def test_euler_product_takes_each_class_once(monkeypatch):
     # -a*q = -1: Euler's criterion runs at most once per class of p mod 4,
     # not once per prime of the million.
     asymptotics.bateman_horn_constant(_spec(1, 1), 10**6, "hl")
-    assert sum(counts) <= 4
+    assert 0 < sum(counts) <= 4
     # A period of 4 * (2**15 + 1) is past the bound: every odd prime runs it.
     counts.clear()
     asymptotics.bateman_horn_constant(_spec(1, arith.SEGMENT_SIZE // 4 + 1), 10**5, "hl")
     assert sum(counts) == len(arith.primes_up_to(10**5)) - 1
 
 
-def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
+def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch, cold_euler_memo):
     real_class_characters = arith.class_characters
     spec = identity.check_admissible(1, 1)
 
@@ -456,8 +457,83 @@ def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch):
     with pytest.raises(ArithmeticError) as caught:
         asymptotics.bateman_horn_constant(spec, 10**4, "hl")
     assert str(caught.value) == message
-    # The guard is for t^2 + 1 under the hl convention only.
-    asymptotics.bateman_horn_constant(spec, 10**4, "paper")
+    # The guard checks the hl factors of t^2 + 1, and the one pass that
+    # yields the paper convention computes them too.
+    with pytest.raises(ArithmeticError) as caught:
+        asymptotics.bateman_horn_constant(spec, 10**4, "paper")
+    assert str(caught.value) == message
+
+
+# Conventions a caller may ask for first, and the specs the memo is checked
+# on: chi = (-4 | p), (-4 | p) with 2 | q, a prime 3 of q, and chi = 1.
+CONVENTION_ORDERS = [("hl", "paper"), ("paper", "hl")]
+MEMO_SPECS = [(1, 1), (4, 1), (3, 2), (1, -4)]
+
+
+@pytest.mark.parametrize("q, a", MEMO_SPECS)
+def test_memoised_pass_keeps_the_scalar_bits_in_any_order(q, a, cold_euler_memo):
+    spec = _spec(q, a)
+    cutoff = arith.SEGMENT_SIZE + 1
+    expected = _scalar_euler_products(spec, cutoff)
+    for order in CONVENTION_ORDERS:
+        asymptotics._euler_pass.cache_clear()
+        for variant in order:
+            report = asymptotics.bateman_horn_constant(spec, cutoff, variant)
+            assert _bits(report.estimate, report.trace) == _bits(*expected[variant]), (order, variant)
+        asymptotics._euler_pass.cache_clear()
+        reports = asymptotics.euler_products(spec, cutoff, order)
+        assert [report.variant for report in reports] == list(order)
+        for report in reports:
+            assert _bits(report.estimate, report.trace) == _bits(*expected[report.variant]), order
+
+
+@pytest.mark.parametrize("q, a", MEMO_SPECS)
+def test_constant_command_keeps_the_scalar_bits(q, a, capsys, cold_euler_memo):
+    cutoff = 10**4 + 7
+    expected = _scalar_euler_products(_spec(q, a), cutoff)
+    for variant, other in CONVENTION_ORDERS:
+        asymptotics._euler_pass.cache_clear()
+        code = cli.run(["constant", "--q", str(q), "--a", str(a), "--variant", variant,
+                        "--cutoff", str(cutoff), "--output", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        # JSON floats carry 15 significant digits: the loop's value, so written.
+        for got, want in [(payload["result"]["estimate"], expected[variant][0]),
+                          (payload["diagnostics"]["comparison_estimate"], expected[other][0])]:
+            assert got.hex() == json.loads(cli.render_json(want)).hex(), variant
+
+
+def test_euler_pass_sieves_once_per_spec_and_cutoff(monkeypatch, cold_euler_memo):
+    real_prime_blocks = arith.prime_blocks
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return real_prime_blocks(limit)
+
+    monkeypatch.setattr(arith, "prime_blocks", spy)
+    spec = _spec(1, 1)
+    hl = asymptotics.bateman_horn_constant(spec, 10**4, "hl")
+    paper = asymptotics.bateman_horn_constant(spec, 10**4, "paper")
+    assert limits == [10**4]
+    assert asymptotics.euler_products(spec, 10**4, ("paper", "hl")) == (paper, hl)
+    assert limits == [10**4]
+    asymptotics.bateman_horn_constant(spec, 10**4 + 7, "hl")
+    asymptotics.bateman_horn_constant(_spec(4, 1), 10**4, "hl")
+    assert limits == [10**4, 10**4 + 7, 10**4]
+
+
+def test_refused_euler_calls_cache_nothing(cold_euler_memo):
+    spec = _spec(1, 1)
+    for cutoff, variant, error in [(2, "hl", ValueError),
+                                   (asymptotics.EULER_CUTOFF_MAX + 1, "hl", CapacityError),
+                                   (100, "other", ValueError)]:
+        with pytest.raises(error):
+            asymptotics.euler_products(spec, cutoff, ("paper", variant))
+        assert asymptotics._euler_pass.cache_info().currsize == 0, (cutoff, variant)
+    report = asymptotics.bateman_horn_constant(spec, 100, "hl")
+    assert _bits(report.estimate, report.trace) == _bits(*_scalar_euler_products(spec, 100)["hl"])
+    assert asymptotics._euler_pass.cache_info().currsize == 1
 
 
 def test_euler_product_rejects_bad_cutoff():

@@ -193,7 +193,7 @@ def test_constant_reports_epsilon_and_other_variant(capsys):
     assert payload["diagnostics"]["difference"] > 0.5
 
 
-def test_constant_sieves_the_primes_once(capsys, monkeypatch):
+def test_constant_sieves_the_primes_once(capsys, monkeypatch, cold_euler_memo):
     real_prime_blocks = arith.prime_blocks
     limits = []
 
@@ -451,7 +451,8 @@ def test_oversized_char_and_identity_sweeps_refused_before_they_start(
     (["compare", "--q", "4", "--a", "1", "--x-max", "100",
       "--steps", str(asymptotics.COMPARE_ROWS_MAX + 1)], "error: rows capped"),
 ])
-def test_oversized_psi2_and_compare_refused_before_they_start(capsys, monkeypatch, argv, message):
+def test_oversized_psi2_and_compare_refused_before_they_start(capsys, monkeypatch, argv, message,
+                                                             cold_euler_memo):
     def never(*args):
         raise AssertionError("work started")
 

@@ -363,18 +363,18 @@ def test_square_roots_near_the_int64_reach():
         assert 2**27 < p <= arith.INT64_PRIME_MAX
         r = np.concatenate((np.arange(1, 41), rng.integers(1, p, 200), [p - 1]))
         c = r * r % p
-        t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64), c, {})
+        t = sieve._square_roots(c, np.full(c.size, p, dtype=np.int64), c)
         for ci, ti in zip(c.tolist(), t.tolist()):
             assert ti * ti % p == ci, (p, ci)
         # A non-residue is refused, not looped on.
-        z = sieve._non_residues(np.array([p]), {})
+        z = sieve._non_residues(np.array([p]))
         with pytest.raises(ArithmeticError, match="needs a square"):
-            sieve._square_roots(z, np.array([p]), z, {})
+            sieve._square_roots(z, np.array([p]), z)
 
 
 def test_non_residues_are_the_least_prime_non_residues():
     primes = arith.primes_up_to(10**5)[1:] + INT64_REACH_PRIMES
-    z = sieve._non_residues(np.array(primes, dtype=np.int64), {}).tolist()
+    z = sieve._non_residues(np.array(primes, dtype=np.int64)).tolist()
     for p, zp in zip(primes, z):
         assert arith.jacobi(zp, p) == -1, (p, zp)
         assert all(arith.jacobi(y, p) == 1 for y in arith.primes_up_to(zp - 1)), (p, zp)
@@ -383,9 +383,9 @@ def test_non_residues_are_the_least_prime_non_residues():
 def test_quadratic_roots_read_one_character_per_class(monkeypatch):
     # For 4 t^2 + 1, chi(p) = (-4 | p): Euler's criterion runs at most once
     # per class of p mod 16, and Tonelli-Shanks runs on the split primes,
-    # p = 1 (mod 4), only.  The non-residue search's characters (z | p) run
-    # at most once per class of p mod 4z in the whole call, across its four
-    # prime_blocks blocks.
+    # p = 1 (mod 4), only.  The non-residue search reads (z | p) by
+    # reciprocity, so -4 is the only modulus Euler's criterion sees, across
+    # the call's four prime_blocks blocks.
     real_characters, real_square_roots = arith.characters, sieve._square_roots
     asked: dict[int, list[int]] = {}
     rooted: list[int] = []
@@ -394,21 +394,18 @@ def test_quadratic_roots_read_one_character_per_class(monkeypatch):
         asked.setdefault(m, []).extend(primes.tolist())
         return real_characters(m, primes)
 
-    def square_roots(c, p, factor, tables):
+    def square_roots(c, p, factor):
         rooted.extend(p.tolist())
-        return real_square_roots(c, p, factor, tables)
+        return real_square_roots(c, p, factor)
 
     monkeypatch.setattr(arith, "characters", characters)
     monkeypatch.setattr(sieve, "_square_roots", square_roots)
     bound = 3 * arith.SEGMENT_SIZE
     found = _roots(4, 1, bound)
+    assert list(asked) == [-4]
     assert len({p % 16 for p in asked[-4]}) == len(asked[-4]) <= 8
     split = [p for p in arith.primes_up_to(bound) if p % 4 == 1]
     assert sorted(rooted) == split and sorted(found) == split
-    non_residues = set(asked) - {-4}
-    assert non_residues and non_residues <= set(arith.primes_up_to(256))
-    for z in non_residues:
-        assert len({p % (4 * z) for p in asked[z]}) == len(asked[z]) <= 4 * z, z
 
 
 def test_corrupted_root_raises_at_its_first_hit(monkeypatch):
