@@ -10,8 +10,8 @@ Key functions:
     jacobi(a, n): Jacobi symbol via binary reciprocity
     residues(m, primes): any int m reduced mod an int64 array of primes
     power_mod(base, exponent, modulus): elementwise modular powers of int64 arrays
-    characters(m, primes), class_characters(m): Legendre symbols (m | p) on
-        int64 prime arrays, by Euler's criterion once per class of p mod 4|m|
+    characters(m, primes): Legendre symbols (m | p) on int64 prime arrays,
+        from one table per m of p mod 4|m| built by reciprocity
     primes_up_to(limit), iter_primes(limit): plain and segmented sieves
     prime_blocks(limit): the segmented sieve's primes as int64 arrays, each
         segment sieved on its odd numbers from a pattern presieved by the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -49,16 +49,16 @@ TRIAL_DIVISION_BOUND = 4096
 # at 2**17 the scale workload's peak stays below the 2**20 sieve's.  The odd
 # segments cost speed at large limits: on a 2-core VM, prime_blocks(1e8)
 # took 0.45-0.56 s at 2**17 against 0.17-0.21 s at 2**20, and 4.8-8.3
-# against 4.7-5.9 ms at 3e6 (best of 3-5, three runs each).  A
-# class_characters table of character classes is kept to at most this many
-# entries too.
+# against 4.7-5.9 ms at 3e6 (best of 3-5, three runs each).  characters
+# builds its table of (m | p) by p mod 4|m|, one byte per class, only while
+# it has at most this many entries, 128 KiB.
 SEGMENT_SIZE = 1 << 17
 
 # The largest modulus whose residues multiply exactly in int64:
 # isqrt(2**63 - 1) = 3,037,000,499, as power_mod needs.  residues is exact
-# further, for every prime below 2**32.  class_characters refuses a larger
-# prime; the Euler products (cutoff <= 10**8) and the quadratic sieve
-# (primes <= 2**25) stay far below it.
+# further, for every prime below 2**32.  characters refuses a larger prime
+# for every m, read from its table or not; the Euler products (cutoff <=
+# 10**8) and the quadratic sieve (primes <= 2**25) stay far below it.
 INT64_PRIME_MAX = math.isqrt(2**63 - 1)
 
 # The 54 primes below 256 and their product.  One gcd with the product finds
@@ -447,49 +447,64 @@ def power_mod(base: np.ndarray, exponent: np.ndarray, modulus: np.ndarray) -> np
 
 def characters(m: int, primes: np.ndarray) -> np.ndarray:
     """Legendre symbols (m | p) for an int64 array of odd primes p up to
-    INT64_PRIME_MAX, by Euler's criterion, for any int m: class_characters'
-    step at the first prime of a class.
+    INT64_PRIME_MAX, for any int m: the one Legendre symbol of the Euler
+    products and of the quadratic sieve.
 
-    r**((p-1)/2) mod p, r = m mod p, is taken on every p at once by
-    power_mod: it is 1 where m is a nonzero square mod p, p - 1 where it is
-    not a square, and 0 where p divides m.
+    By Jacobi reciprocity (m | p) depends only on p mod 4|m|, so while
+    0 < 4|m| <= SEGMENT_SIZE it is read from _character_table(m), built
+    once per m.  For m = 0 or a longer period every prime goes through
+    _euler_criterion, the table's oracle.  A prime above INT64_PRIME_MAX
+    raises ValueError.
     """
+    if np.max(primes, initial=0) > INT64_PRIME_MAX:
+        raise ValueError(f"characters take primes up to {INT64_PRIME_MAX} only")
+    period = 4 * abs(m)
+    if 0 < period <= SEGMENT_SIZE:
+        return _character_table(m)[primes % period]
+    return _euler_criterion(m, primes)
+
+
+def _euler_criterion(m: int, primes: np.ndarray) -> np.ndarray:
+    """(m | p) on every p: r**((p-1)/2) mod p, r = m mod p, by power_mod,
+    is 1 where m is a nonzero square mod p, p - 1 where it is not a square,
+    and 0 where p divides m."""
     power = power_mod(residues(m, primes), (primes - 1) >> 1, primes)
     return np.where(power == primes - 1, -1, power)
 
 
-def class_characters(m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A function from an int64 array of odd primes p to their (m | p): the
-    one Legendre symbol of the Euler products and of the quadratic sieve.
+@lru_cache(maxsize=64)
+def _character_table(m: int) -> np.ndarray:
+    """(m | p) for the odd primes p by p mod 4|m|, 0 < 4|m| <= SEGMENT_SIZE,
+    as a read-only int8 table.
 
-    By Jacobi reciprocity (m | p) depends only on p mod 4|m|, and a class
-    that shares a factor with m holds at most one prime.  So each class's
-    value is taken by characters at the first prime of the class seen, kept
-    in a table of 4|m| entries, and read from it at every later prime.  The
-    table is kept only while 4|m| <= SEGMENT_SIZE, so its bytes never
-    outnumber a sieve segment's flags; for m = 0 or a longer period every
-    prime goes through characters.  A prime above INT64_PRIME_MAX raises
-    ValueError.
+    It is the product of (z | p) over the prime factors z of m with odd
+    exponent, times (-1 | p) for m < 0 (H. Cohen, GTM 138, ch. 1).  (2 | p)
+    is 1 where p = +-1 (mod 8), else -1.  For an odd z, quadratic
+    reciprocity gives (z | p) = (p | z), 1 where p mod z is a nonzero square,
+    negated where z and p are both 3 (mod 4).  A class sharing a factor with
+    4m holds no odd prime but a factor of m, where the symbol is 0.
     """
     period = 4 * abs(m)
-    unknown = 2
-    table = np.full(period if period <= SEGMENT_SIZE else 0, unknown, dtype=np.int8)
-
-    def read(primes: np.ndarray) -> np.ndarray:
-        if np.max(primes, initial=0) > INT64_PRIME_MAX:
-            raise ValueError(f"characters take primes up to {INT64_PRIME_MAX} only")
-        if not table.size:
-            return characters(m, primes)
-        classes = primes % period
-        chi = table[classes]
-        missing = np.flatnonzero(chi == unknown)
-        if missing.size:
-            new, first = np.unique(classes[missing], return_index=True)
-            table[new] = characters(m, primes[missing[first]])
-            chi = table[classes]
-        return chi
-
-    return read
+    table = np.ones(period, dtype=np.int64)
+    if m < 0:
+        table[3::4] = -1
+    table[::2] = 0  # the zeros stay through every product below
+    for z, exponent in factorize(abs(m)):
+        table[::z] = 0
+        if exponent % 2 == 0:
+            continue
+        if z == 2:
+            signs = np.array([0, 1, 0, -1, 0, -1, 0, 1])
+        else:
+            squares = np.zeros(z, dtype=bool)
+            squares[np.arange(1, z) ** 2 % z] = True
+            signs = np.tile(np.where(squares, 1, -1), 4)
+            if z & 3 == 3:
+                signs[3::4] *= -1
+        table *= np.tile(signs, period // signs.size)
+    table = table.astype(np.int8)
+    table.setflags(write=False)  # every caller shares it
+    return table
 
 
 # --------------------------------------------------------------------------- #

@@ -12,8 +12,8 @@ compare_asymptotic at each row's sqrt(x).  Density constants come from
 truncated Euler products over odd primes in two variants that differ in
 their denominator convention; both are computed rather than picking one,
 in one pass over the primes memoised per (spec, cutoff), with the
-characters (-a q | p) of arith.class_characters, which the sieve's roots
-read too.
+characters (-a q | p) of arith.characters, one table by reciprocity that
+the sieve's roots read too.
 compare_asymptotic tabulates the measured psi2 against the predicted
 (c_f / 2) * sqrt(x) curve.
 """
@@ -258,11 +258,11 @@ def _euler_pass(spec: PolynomialSpec, cutoff: int) -> tuple[EulerProductReport, 
     The primes come in sieve blocks.  Each block's primes, characters,
     p | q positions and trace positions serve both conventions; each
     convention then builds its own factors, one convention at a time.  chi
-    comes from arith.class_characters, the Legendre symbol the quadratic
-    sieve reads too: by Jacobi reciprocity chi(p) depends only on p mod
-    4|a q|, so Euler's criterion runs once per class of that period and a
-    table serves the later primes, while 4|a q| <= arith.SEGMENT_SIZE; past
-    that bound, or for a = 0, it runs on every prime.  A p | q has chi(p) =
+    comes from arith.characters, the Legendre symbol the quadratic sieve
+    reads too: by Jacobi reciprocity chi(p) depends only on p mod 4|a q|,
+    so while 4|a q| <= arith.SEGMENT_SIZE it is read from one table of that
+    period, built by reciprocity once per a q; past that bound, or for
+    a = 0, Euler's criterion runs on every prime.  A p | q has chi(p) =
     0, so only the primes with chi(p) = 0, the odd prime factors of a q
     for a != 0, are reduced mod q, exactly for any q.  Each factor is one
     IEEE operation on exact integers, and np.multiply.accumulate
@@ -275,14 +275,13 @@ def _euler_pass(spec: PolynomialSpec, cutoff: int) -> tuple[EulerProductReport, 
     traces: tuple[list[tuple[int, float]], ...] = ([], [])
     marks = [10**k for k in range(1, 9) if 10**k <= cutoff]
     last_prime = 0
-    characters = arith.class_characters(-spec.a * spec.q)
 
     for block in arith.prime_blocks(cutoff):
         primes = block[block != 2]
         if not primes.size:
             continue
         as_float = primes.astype(np.float64)
-        chi = characters(primes).astype(np.float64)
+        chi = arith.characters(-spec.a * spec.q, primes).astype(np.float64)
         zero = np.flatnonzero(chi == 0)
         divides_q = zero[arith.residues(spec.q, primes[zero]) == 0]
         # The marks this block passes, and how many of its primes precede

@@ -20,9 +20,10 @@ checked to divide its value.  Three kinds of values feed it:
         Comp. 14, 1960; M. J. Jacobson Jr. and H. C. Williams, Math. Comp.
         72, 2003): a prime p has up to two roots, the t with
         q t^2 + a = 0 (mod p).  The Legendre symbol (-a q | p) of
-        arith.class_characters, the Euler products' own, says how many,
-        and Tonelli-Shanks finds them, a whole arith.prime_blocks block at
-        a time, with no inverse of q mod p.
+        arith.characters, the Euler products' own, read from one table
+        of p mod 4|a q| built by reciprocity, says how many, and
+        Tonelli-Shanks finds them, a whole arith.prime_blocks block at a
+        time, with no inverse of q mod p.
 
 Every value lies in [0, 2**64), so all three kinds are computed in uint64,
 with q n^2 + a taken mod 2**64, which is exact there; the hits' divisors
@@ -38,8 +39,8 @@ leaves 1, a value with none as prime below (bound + 1)**2, bound the reach
 of the sieving primes, and by arith.prime_power_base above it, and any
 other value as no prime power.  It serves
 
-    lambda_segments(spec, x): Lambda(q n + a) for odd n <= x, per segment,
-        and linear_lambda(spec, x), its pairs (per value: poly.lambda_weight)
+    lambda_segments(spec, x): Lambda(q n + a) for odd n <= x, per segment
+        (per value: poly.lambda_weight)
     prime_power_values(spec, n_max): (n, f(n), p, k) for odd n <= n_max
         with f(n) = q n^2 + a = p**k, read by asymptotics.psi2_count and
         compare_asymptotic (per value: asymptotics._per_value_hits, which
@@ -195,11 +196,6 @@ def lambda_segments(spec: PolynomialSpec, x: int) -> Iterator[tuple[np.ndarray, 
     return _lambda_segments(spec.q, spec.a, x)
 
 
-def linear_lambda(spec: PolynomialSpec, x: int) -> Iterator[tuple[int, float]]:
-    """lambda_segments as (n, Lambda(q n + a)) pairs, ascending in n."""
-    return chain.from_iterable(zip(n.tolist(), lw.tolist()) for n, lw in lambda_segments(spec, x))
-
-
 def _lambda_segments(q: int, a: int, x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     start, prime_top, segments = _linear(q, a, x)
     for k0, index, _, base, _ in _prime_powers(segments, prime_top):
@@ -297,17 +293,17 @@ def _quadratic_roots(q: int, a: int, bound: int) -> Iterator[tuple[np.ndarray, n
     """(p, t) per arith.prime_blocks block: every root t of q t^2 + a = 0
     (mod p) for the odd primes p <= bound not dividing q, p once per root.
 
-    The character chi(p) = (-a q | p) of arith.class_characters counts
-    them: where chi = 0, p divides a and 0 is the one root; where chi = 1
-    there are two, t and -t with q t^2 = -a, from _square_roots of c = -a q
-    with factor -a, so t = r / q for the root r of c and no inverse of q is
-    taken; where chi = -1 there are none.  q and a may be any size; bound is
-    at most arith.INT64_PRIME_MAX.
+    The character chi(p) = (-a q | p) of arith.characters counts them,
+    read by p mod 4|a q| from a table built once by reciprocity while that
+    period is at most arith.SEGMENT_SIZE: where chi = 0, p divides a and 0
+    is the one root; where chi = 1 there are two, t and -t with q t^2 = -a,
+    from _square_roots of c = -a q with factor -a, so t = r / q for the root
+    r of c and no inverse of q is taken; where chi = -1 there are none.  q
+    and a may be any size; bound is at most arith.INT64_PRIME_MAX.
     """
-    characters = arith.class_characters(-a * q)
     for block in arith.prime_blocks(bound):
         p = block[block > 2]
-        q_p, chi = arith.residues(q, p), characters(p)
+        q_p, chi = arith.residues(q, p), arith.characters(-a * q, p)
         zero, split, q_p = p[(chi == 0) & (q_p != 0)], p[chi == 1], q_p[chi == 1]
         minus_a = arith.residues(-a, split)
         t = _square_roots(minus_a * q_p % split, split, minus_a)
@@ -383,41 +379,15 @@ def _square_times(x: np.ndarray, times: np.ndarray, p: np.ndarray) -> np.ndarray
 
 def _non_residues(p: np.ndarray) -> np.ndarray:
     """A quadratic non-residue mod each odd prime p: the first prime z below
-    256 with (z | p) = -1, read from _reciprocity_table(z) on the p still
-    without one, about half of which each z settles.  Every p the sieve
-    reaches has one; none would raise ArithmeticError.
+    256 with (z | p) = -1, read by arith.characters on the p still without
+    one, about half of which each z settles.  Every p the sieve reaches has
+    one; none would raise ArithmeticError.
     """
     z, need = np.zeros_like(p), np.arange(p.size)
     for candidate in arith.primes_up_to(256):
-        left = p[need]
-        classes = left & 7 if candidate == 2 else left % (4 * candidate)
-        hit = _reciprocity_table(candidate)[classes] == -1
+        hit = arith.characters(candidate, p[need]) == -1
         z[need[hit]] = candidate
         need = need[~hit]
         if not need.size:
             return z
     raise ArithmeticError("no prime non-residue below 256")
-
-
-@lru_cache(maxsize=64)
-def _reciprocity_table(z: int) -> np.ndarray:
-    """(z | p) for the odd primes p by p mod 4z, z a prime, as int8.
-
-    For z = 2 it is 1 where p = +-1 (mod 8), else -1.  For an odd z,
-    quadratic reciprocity gives (z | p) = (p | z), 1 where p mod z is a
-    nonzero square, negated where z and p are both 3 (mod 4).  A class
-    sharing a factor with 4z holds no odd prime but z, where it is 0.
-    """
-    c = np.arange(4 * z)
-    if z == 2:
-        table = np.where((c == 1) | (c == 7), 1, -1)
-    else:
-        squares = np.zeros(z, dtype=bool)
-        squares[np.arange(1, z) ** 2 % z] = True
-        table = np.where(squares[c % z], 1, -1)
-        if z & 3 == 3:
-            table = np.where((c & 3) == 3, -table, table)
-    table[np.gcd(c, 4 * z) > 1] = 0
-    table = table.astype(np.int8)
-    table.setflags(write=False)
-    return table

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from quadprimes import asymptotics, ramanujan
+from quadprimes import arith, asymptotics, ramanujan
 
 RAMANUJAN_MEMOS = (ramanujan._closed_value, ramanujan._divisor_value)
 
@@ -24,9 +24,12 @@ def cold_ramanujan_memos():
 
 @pytest.fixture
 def cold_euler_memo():
-    """Empty the process-wide memo of Euler-product passes before and after
-    the test, for the same reasons as cold_ramanujan_memos: a test that
-    patches the primes or their characters must see a pass run under it."""
-    asymptotics._euler_pass.cache_clear()
+    """Empty the process-wide memos of Euler-product passes and of character
+    tables before and after the test, for the same reasons as
+    cold_ramanujan_memos: a test that patches the primes or their characters
+    must see a pass, and a table, made under it."""
+    for memo in (asymptotics._euler_pass, arith._character_table):
+        memo.cache_clear()
     yield
-    asymptotics._euler_pass.cache_clear()
+    for memo in (asymptotics._euler_pass, arith._character_table):
+        memo.cache_clear()

@@ -9,9 +9,17 @@ math.fsum.  Its values are the ones the library must give bit for bit.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from quadprimes import arith, identity, ramanujan, sieve
 from quadprimes.errors import LemmaCounterexample
+
+
+def linear_lambda(spec, x):
+    """sieve.lambda_segments as (n, Lambda(q n + a)) pairs, ascending in n:
+    the tests' per-value view of the sieve."""
+    return chain.from_iterable(zip(n.tolist(), lw.tolist())
+                               for n, lw in sieve.lambda_segments(spec, x))
 
 
 def shift_coefficients(spec, ctx, points):
@@ -19,7 +27,7 @@ def shift_coefficients(spec, ctx, points):
     full is the sum of w * c_N(t - n) over points and d its diagonal
     weight, so full - phi(N) * d drops the t = n terms."""
     shift_sum = ramanujan.shift_sums(ctx, points)
-    for n, lw in sieve.linear_lambda(spec, ctx.x):
+    for n, lw in linear_lambda(spec, ctx.x):
         yield (lw, *shift_sum(n))
 
 

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from quadprimes import arith, sieve
+from exact_oracle import linear_lambda
+from quadprimes import arith
 from quadprimes.errors import PrecisionError
 
 # Values per flush of an ExactSum.  A flush's bincount adds at most this
@@ -184,7 +185,7 @@ def rhs_float(spec, ctx) -> float:
     roots = np.fromiter((cmath.exp(2j * math.pi * k / N) for k in range(N)), complex, N)
     table, units = _index_table(N, R)
     imag, real = ExactSum(), ExactSum()
-    for n, lw in sieve.linear_lambda(spec, ctx.x):
+    for n, lw in linear_lambda(spec, ctx.x):
         _add_terms(lw, _index_counts(table, units, N, n), roots, imag, real)
 
     imag_total = imag.value() / phi_n

@@ -415,11 +415,30 @@ def test_exact_sum_bins_cannot_overflow_within_the_float_work_cap(monkeypatch):
         total.value()
 
 
-def test_characters_refuse_primes_past_the_int64_reach():
+def test_characters_refuse_primes_past_the_int64_reach(monkeypatch):
     # Past INT64_PRIME_MAX a product of two residues can leave int64.
     top = arith.INT64_PRIME_MAX
     assert top**2 <= 2**63 - 1 < (top + 1) ** 2
     past = np.array([3, arith.next_prime_above(top)], dtype=np.int64)
-    for m in (-1, 2**40):  # with a class table and without
+    euler = []
+    monkeypatch.setattr(arith, "_euler_criterion", lambda m, primes: euler.append(m))
+    for m in (-1, 0, 2**40):  # with a table and without
         with pytest.raises(ValueError, match="primes up to 3037000499"):
-            arith.class_characters(m)(past)
+            arith.characters(m, past)
+    # The refusal comes first: Euler's criterion runs on no prime.
+    assert euler == []
+
+
+# Every |m| up to 150, every prime z < 256, whose tables sieve._non_residues
+# reads, and 4|m| at arith.SEGMENT_SIZE with m even and just below it with m
+# odd.
+TABLE_MODULI = [m for k in range(1, 151) for m in (k, -k)] + [
+    z for z in arith.primes_up_to(255) if z > 150] + [2**15, -(2**15), -(2**15 - 1)]
+
+
+def test_character_tables_read_jacobi_at_every_class():
+    for m in TABLE_MODULI:
+        table = arith._character_table(m)
+        assert table.size == 4 * abs(m) <= arith.SEGMENT_SIZE and not table.flags.writeable, m
+        assert not table[::2].any(), m
+        assert table[1::2].tolist() == [arith.jacobi(m, c) for c in range(1, table.size, 2)], m

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadprimes import arith, asymptotics, cli, identity
+from quadprimes import arith, asymptotics, cli, identity, sieve
 from quadprimes.errors import CapacityError
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, example, given, settings, strategies as st
 except ImportError:
     st = None
 
@@ -292,7 +292,7 @@ def _bits(estimate, trace):
     return estimate.hex(), [(p, value.hex()) for p, value in trace]
 
 
-# The class table of -a*q has 4|a q| entries and is kept up to
+# The character table of -a*q has 4|a q| entries and is built up to
 # arith.SEGMENT_SIZE of them: (1, 2**15) sits at that bound and (1, 2**15 + 1)
 # just past it.
 EULER_SPECS = [(1, 1), (4, 1), (2, 1), (3, 2), (15, 2), (30, 7)] + [
@@ -310,6 +310,33 @@ def test_euler_product_blocks_match_scalar_loop_bitwise(cutoff):
             report = asymptotics.bateman_horn_constant(spec, cutoff, variant)
             assert _bits(report.estimate, report.trace) == _bits(*expected[variant]), (
                 q, a, variant)
+
+
+@needs_hypothesis
+def test_both_readers_of_the_symbol_match_their_oracles():
+    # The quadratic sieve's roots and the Euler products read the same
+    # (-a q | p): coprime q + a odd, q + a < 1 among them, against the
+    # per-value scan and the scalar loop of arith.jacobi.
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(st.integers(1, 10**4), st.integers(-(10**4), 10**4), st.integers(1, 3000))
+    @example(4, 9, 3000)
+    @example(2, 9, 3000)
+    @example(6, -5, 3000)
+    @example(4, -9, 3000)
+    def check(q, a, n_max):
+        assume(math.gcd(q, a) == 1 and (q + a) % 2)
+        spec = identity.check_admissible(q, a)
+        fast = list(sieve.prime_power_values(spec, n_max))
+        slow = list(asymptotics._per_value_hits(spec, n_max))
+        assert fast == slow, (q, a, n_max)
+        psi = next(asymptotics._tally(fast, [n_max]))[0]
+        assert psi.hex() == math.fsum(math.log(p) for _, _, p, _ in slow).hex(), (q, a, n_max)
+        expected = _scalar_euler_products(spec, 2000)
+        for report in asymptotics.euler_products(spec, 2000, ("hl", "paper")):
+            assert _bits(report.estimate, report.trace) == _bits(*expected[report.variant]), (
+                q, a, report.variant)
+
+    check()
 
 
 def test_euler_product_carries_the_product_across_segments():
@@ -389,70 +416,72 @@ def test_euler_products_keep_their_bits_at_large_cutoffs():
 @pytest.mark.parametrize("m", [0, 1, -1, -4, -24, 10**29 + 1, -(3**90), -(arith.SEGMENT_SIZE // 4),
                                arith.SEGMENT_SIZE // 4 + 1, -(arith.SEGMENT_SIZE // 4 - 1)])
 def test_class_characters_match_euler_criterion_and_jacobi(m, monkeypatch):
-    real_characters = arith.characters
+    real_euler = arith._euler_criterion
     passed = []
 
     def spy(m, primes):
         passed.extend(primes.tolist())
-        return real_characters(m, primes)
+        return real_euler(m, primes)
 
-    monkeypatch.setattr(arith, "characters", spy)
-    characters = arith.class_characters(m)
+    monkeypatch.setattr(arith, "_euler_criterion", spy)
     blocks = [block[block != 2] for block in arith.prime_blocks(2 * arith.SEGMENT_SIZE + 1000)]
     assert len(blocks) == 4
     for primes in blocks:
-        got = characters(primes).tolist()
-        assert got == real_characters(m, primes).tolist(), m
+        got = arith.characters(m, primes).tolist()
+        assert got == real_euler(m, primes).tolist(), m
         assert got == [arith.jacobi(m % p, p) for p in primes.tolist()], m
     period = 4 * abs(m)
     if 0 < period <= arith.SEGMENT_SIZE:
-        # Euler's criterion runs at most once per class of p mod 4|m|.
-        assert len({p % period for p in passed}) == len(passed) <= period, m
+        # The table of p mod 4|m|, built by reciprocity, serves every prime.
+        assert passed == [], m
     else:
         assert sorted(passed) == [p for primes in blocks for p in primes.tolist()], m
 
 
 def test_euler_product_takes_each_class_once(monkeypatch, cold_euler_memo):
-    real_characters = arith.characters
-    counts = []
+    real_characters, real_euler = arith.characters, arith._euler_criterion
+    read, euler = [], []
 
-    def spy(m, primes):
-        counts.append(primes.size)
+    def characters(m, primes):
+        read.extend(primes.tolist())
         return real_characters(m, primes)
 
-    monkeypatch.setattr(arith, "characters", spy)
-    # -a*q = -1: Euler's criterion runs at most once per class of p mod 4,
-    # not once per prime of the million.
+    def spy(m, primes):
+        euler.extend(primes.tolist())
+        return real_euler(m, primes)
+
+    monkeypatch.setattr(arith, "characters", characters)
+    monkeypatch.setattr(arith, "_euler_criterion", spy)
+    # -a*q = -1: every odd prime of the million reads one table of p mod 4,
+    # built once by reciprocity; Euler's criterion runs on none of them.
     asymptotics.bateman_horn_constant(_spec(1, 1), 10**6, "hl")
-    assert 0 < sum(counts) <= 4
+    assert read == arith.primes_up_to(10**6)[1:]
+    assert euler == [] and arith._character_table.cache_info().misses == 1
     # A period of 4 * (2**15 + 1) is past the bound: every odd prime runs it.
-    counts.clear()
     asymptotics.bateman_horn_constant(_spec(1, arith.SEGMENT_SIZE // 4 + 1), 10**5, "hl")
-    assert sum(counts) == len(arith.primes_up_to(10**5)) - 1
+    assert euler == arith.primes_up_to(10**5)[1:]
+    assert arith._character_table.cache_info().misses == 1
 
 
 def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch, cold_euler_memo):
-    real_class_characters = arith.class_characters
+    real_characters, real_euler = arith.characters, arith._euler_criterion
     spec = identity.check_admissible(1, 1)
+    euler = []
 
-    def flipped(m):
-        characters = real_class_characters(m)
-        return lambda primes: -characters(primes)
+    def spy(m, primes):
+        euler.extend(primes.tolist())
+        return real_euler(m, primes)
 
-    monkeypatch.setattr(arith, "class_characters", flipped)
+    monkeypatch.setattr(arith, "_euler_criterion", spy)
+    monkeypatch.setattr(arith, "characters", lambda m, primes: -real_characters(m, primes))
     with pytest.raises(ArithmeticError, match=r"^factor 0\.5 on wrong side of 1 at p=3$"):
         asymptotics.bateman_horn_constant(spec, 100, "hl")
     # A flip only past 1000 is caught in a later sieve block, at p = 1009.
-    def flipped_late(m):
-        characters = real_class_characters(m)
+    def flipped_late(m, primes):
+        chi = real_characters(m, primes)
+        return np.where(primes > 1000, -chi, chi)
 
-        def flip(primes):
-            chi = characters(primes)
-            return np.where(primes > 1000, -chi, chi)
-
-        return flip
-
-    monkeypatch.setattr(arith, "class_characters", flipped_late)
+    monkeypatch.setattr(arith, "characters", flipped_late)
     message = f"factor {1.0 + 1 / 1008} on wrong side of 1 at p=1009"
     with pytest.raises(ArithmeticError) as caught:
         asymptotics.bateman_horn_constant(spec, 10**4, "hl")
@@ -462,6 +491,8 @@ def test_euler_straddle_guard_fires_at_first_offending_prime(monkeypatch, cold_e
     with pytest.raises(ArithmeticError) as caught:
         asymptotics.bateman_horn_constant(spec, 10**4, "paper")
     assert str(caught.value) == message
+    # -a q = -1: every flipped character was read from the table of p mod 4.
+    assert euler == []
 
 
 # Conventions a caller may ask for first, and the specs the memo is checked

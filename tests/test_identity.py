@@ -209,7 +209,7 @@ def test_rhs_exact_path_holds_no_more_than_its_sieve():
     spec = identity.check_admissible(4, 1)
     ctx = identity.make_context(10**6)
     assert ctx.N > identity.FLOAT_TABLE_CAP
-    sieve_peak = _traced_peak(lambda: deque(sieve.linear_lambda(spec, ctx.x), maxlen=0))
+    sieve_peak = _traced_peak(lambda: deque(exact_oracle.linear_lambda(spec, ctx.x), maxlen=0))
     results = []
     expansion_peak = _traced_peak(lambda: results.append(identity.rhs_linear_expansion(spec, ctx)))
     assert results[0][1] is None
@@ -421,7 +421,7 @@ def test_float_route_histograms_once_per_n_in_int32(monkeypatch):
     monkeypatch.setattr(float_oracle.np, "bincount", spy)
     rhs_float = float_oracle.rhs_float(spec, ctx)
     assert rhs_float.hex() == "0x1.da4b6ce949ef6p+4"
-    weighted = sum(1 for _ in sieve.linear_lambda(spec, ctx.x))
+    weighted = sum(1 for _ in exact_oracle.linear_lambda(spec, ctx.x))
     assert len(counted) == weighted == 146
     for dtype, least, most, _ in counted:
         assert dtype == np.int32 and 0 < least and most < 2 * ctx.N

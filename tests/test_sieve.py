@@ -1,7 +1,8 @@
 """The segment sieves against their per-value oracles, and the routes that read them.
 
 poly.lambda_weight (one factorization per value) is the oracle of
-sieve.linear_lambda, indicator.square_char_liouville of sieve.square_flags,
+exact_oracle.linear_lambda, the pair view of sieve.lambda_segments,
+indicator.square_char_liouville of sieve.square_flags,
 and asymptotics._per_value_hits (arith.prime_power_base per value) of
 sieve.prime_power_values.  Short segments make every draw cross several
 segment boundaries; the tests at the real segment lengths cover their edges
@@ -17,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import exact_oracle
 from quadprimes import arith, asymptotics, indicator, poly, sieve, verification
 
 try:
@@ -88,7 +90,7 @@ def test_linear_lambda_matches_per_value_weights():
     def check(case):
         spec, x, length = case
         with _segment_length(length):
-            assert list(sieve.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
+            assert list(exact_oracle.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
 
     check()
 
@@ -113,7 +115,7 @@ def test_readers_at_the_segment_edge(delta):
     count = sieve.SEGMENT_LENGTH + delta
     spec = poly.check_admissible(2, -5)
     x = 2 * count + 1  # odd n from 3 up: n = 1 gives -3
-    assert list(sieve.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
+    assert list(exact_oracle.linear_lambda(spec, x)) == _lambda_oracle(spec, x)
     assert _square_flags(count) == _square_oracle(count)
 
 
@@ -124,7 +126,7 @@ def test_rest_beyond_the_sieve_is_read_exactly():
     with _segment_length(1):
         assert _square_flags(200) == _square_oracle(200)
         spec = poly.check_admissible(1, 2)
-        assert list(sieve.linear_lambda(spec, 300)) == _lambda_oracle(spec, 300)
+        assert list(exact_oracle.linear_lambda(spec, 300)) == _lambda_oracle(spec, 300)
 
 
 def test_verify_liouville_reads_the_sieve(monkeypatch):
@@ -381,29 +383,37 @@ def test_non_residues_are_the_least_prime_non_residues():
 
 
 def test_quadratic_roots_read_one_character_per_class(monkeypatch):
-    # For 4 t^2 + 1, chi(p) = (-4 | p): Euler's criterion runs at most once
-    # per class of p mod 16, and Tonelli-Shanks runs on the split primes,
-    # p = 1 (mod 4), only.  The non-residue search reads (z | p) by
-    # reciprocity, so -4 is the only modulus Euler's criterion sees, across
-    # the call's four prime_blocks blocks.
-    real_characters, real_square_roots = arith.characters, sieve._square_roots
+    # For 4 t^2 + 1, chi(p) = (-4 | p) is read once per odd prime from the
+    # table of p mod 16, and the non-residue search reads each (z | p),
+    # z < 256, from the table of p mod 4z, all built by reciprocity: across
+    # the call's four prime_blocks blocks Euler's criterion runs on no
+    # prime.  Tonelli-Shanks runs on the split primes, p = 1 (mod 4), only.
+    real_characters, real_euler = arith.characters, arith._euler_criterion
+    real_square_roots = sieve._square_roots
     asked: dict[int, list[int]] = {}
+    euler: list[int] = []
     rooted: list[int] = []
 
     def characters(m, primes):
         asked.setdefault(m, []).extend(primes.tolist())
         return real_characters(m, primes)
 
+    def euler_criterion(m, primes):
+        euler.extend(primes.tolist())
+        return real_euler(m, primes)
+
     def square_roots(c, p, factor):
         rooted.extend(p.tolist())
         return real_square_roots(c, p, factor)
 
     monkeypatch.setattr(arith, "characters", characters)
+    monkeypatch.setattr(arith, "_euler_criterion", euler_criterion)
     monkeypatch.setattr(sieve, "_square_roots", square_roots)
     bound = 3 * arith.SEGMENT_SIZE
     found = _roots(4, 1, bound)
-    assert list(asked) == [-4]
-    assert len({p % 16 for p in asked[-4]}) == len(asked[-4]) <= 8
+    assert euler == []
+    assert asked.pop(-4) == arith.primes_up_to(bound)[1:]
+    assert 2 in asked and set(asked) <= set(arith.primes_up_to(256))
     split = [p for p in arith.primes_up_to(bound) if p % 4 == 1]
     assert sorted(rooted) == split and sorted(found) == split
 
@@ -455,7 +465,7 @@ def test_sieve_values_and_primes_are_uint64(engine_segments):
     sieve._one_segment_lambda.cache_clear()
     uint64 = np.dtype(np.uint64)
     q = I64_MAX // 5000**2 - 1
-    for run in (lambda: sieve.linear_lambda(poly.check_admissible(4, 1), 10**4),
+    for run in (lambda: exact_oracle.linear_lambda(poly.check_admissible(4, 1), 10**4),
                 lambda: sieve.square_flags(10**4),
                 lambda: sieve.prime_power_values(poly.check_admissible(q, 2), 5001)):
         engine_segments.clear()
